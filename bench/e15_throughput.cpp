@@ -11,6 +11,11 @@
 // chrome://tracing. The timed trials always run untraced so the numbers in
 // the bench JSON are never polluted by the observability layer.
 //
+// The artifact pins the decisions themselves as "decision_digest": FNV-1a 64
+// over the sequential decision log (index, verdict, full plan), the encoding
+// perfbench's batch_replay digest uses, so the full run reads the digest
+// perfbench/SPEC.json pins.
+//
 // --smoke shrinks the workload (horizon 1200, lanes 1/2/4) for CI: the full
 // parity machinery runs in seconds. The JSON artifact is refused when the
 // benched lane count exceeds the host's usable cpus — an oversubscribed
@@ -24,9 +29,12 @@
 // dominated by rejections, the regime the optimistic pipeline is built for.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,6 +130,35 @@ std::size_t accept_count(const std::vector<AdmissionDecision>& decisions) {
   return n;
 }
 
+/// FNV-1a 64 over the decision log, one line per decision: index, A/R, then
+/// the plan's computation@finish and per actor |actor:start-finish,cuts;usage.
+std::string decision_digest(const std::vector<AdmissionDecision>& decisions) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    const AdmissionDecision& d = decisions[i];
+    std::ostringstream s;
+    s << i << (d.accepted ? 'A' : 'R');
+    if (d.plan) {
+      s << d.plan->computation << '@' << d.plan->finish;
+      for (const ActorPlan& a : d.plan->actors) {
+        s << '|' << a.actor << ':' << a.start << '-' << a.finish;
+        for (Tick c : a.cut_points) s << ',' << c;
+        for (const auto& [type, fn] : a.usage) {
+          s << ';' << type.to_string() << '=' << fn.to_string();
+        }
+      }
+    }
+    s << '\n';
+    for (unsigned char c : s.str()) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
 void check_parity(const std::vector<AdmissionDecision>& expected,
                   const std::vector<AdmissionDecision>& actual,
                   std::size_t threads) {
@@ -188,7 +225,7 @@ Measurement bench_batch(const Workload& w, std::size_t threads,
 }
 
 bool write_json(const std::string& path, const Workload& w, Tick horizon,
-                const std::vector<Measurement>& results,
+                const std::vector<Measurement>& results, const std::string& digest,
                 const std::string& note) {
   double sequential_rps = 0.0;
   double batch_max_rps = 0.0;
@@ -214,6 +251,7 @@ bool write_json(const std::string& path, const Workload& w, Tick horizon,
       << "    \"supply_terms\": " << w.supply.term_count() << "\n"
       << "  },\n"
       << "  \"parity\": \"batch decisions verified identical to sequential FCFS\",\n"
+      << "  \"decision_digest\": \"" << digest << "\",\n"
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& m = results[i];
@@ -372,6 +410,9 @@ int main(int argc, char** argv) {
                 m.requests_per_sec, m.speedup, m.scaling_efficiency);
   }
 
+  const std::string digest = decision_digest(expected);
+  std::cout << "\ndecision digest: " << digest << "\n";
+
   // The gate reads the *stored* baseline before write_json refreshes it.
   int gate_status = 0;
   if (baseline_path) {
@@ -398,7 +439,7 @@ int main(int argc, char** argv) {
            " usable cpus; scaling numbers reflect oversubscription";
   }
 
-  if (!write_json(json_path, w, horizon, results, note)) {
+  if (!write_json(json_path, w, horizon, results, digest, note)) {
     std::cerr << "\nERROR: could not write " << json_path << "\n";
     return 1;
   }

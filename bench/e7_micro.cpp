@@ -2,12 +2,9 @@
 // IA constraint-network path consistency, as functions of instance size.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <iostream>
 
-#include "rota/fuzz/gen.hpp"
 #include "rota/resource/resource_set.hpp"
-#include "rota/resource/simd.hpp"
 #include "rota/resource/step_function.hpp"
 #include "rota/time/ia_network.hpp"
 #include "rota/time/interval_set.hpp"
@@ -45,38 +42,6 @@ void BM_StepMinus(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_StepMinus)->Arg(4)->Arg(32)->Arg(256)->Arg(2048)->Complexity();
-
-// Scalar-vs-vector A/B of the same merge walks: range(0) segments per
-// operand, simd path keyed by range(1). The parity check in main() runs
-// before any of these, so a timing diff here is never hiding a wrong answer.
-void BM_StepCombineSimd(benchmark::State& state) {
-  simd::set_combine_enabled(state.range(1) != 0);
-  StepFunction a = make_step(static_cast<int>(state.range(0)), 21);
-  StepFunction b = make_step(static_cast<int>(state.range(0)), 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.plus(b));
-    benchmark::DoNotOptimize(a.min(b));
-  }
-  simd::set_combine_enabled(false);
-  state.SetLabel(state.range(1) ? (simd::available() ? "avx2" : "avx2-unavailable")
-                                : "scalar");
-}
-BENCHMARK(BM_StepCombineSimd)
-    ->Args({32, 0})->Args({32, 1})
-    ->Args({256, 0})->Args({256, 1})
-    ->Args({2048, 0})->Args({2048, 1});
-
-void BM_StepMinValueSimd(benchmark::State& state) {
-  simd::set_enabled(state.range(1) != 0);
-  // minus() produces negative excursions, so min_value() has real work.
-  StepFunction a = make_step(static_cast<int>(state.range(0)), 23)
-                       .minus(make_step(static_cast<int>(state.range(0)), 24));
-  for (auto _ : state) benchmark::DoNotOptimize(a.min_value());
-  simd::set_enabled(true);
-  state.SetLabel(state.range(1) ? "vector" : "scalar");
-}
-BENCHMARK(BM_StepMinValueSimd)
-    ->Args({256, 0})->Args({256, 1})->Args({2048, 0})->Args({2048, 1});
 
 void BM_StepIntegral(benchmark::State& state) {
   StepFunction a = make_step(static_cast<int>(state.range(0)), 5);
@@ -211,43 +176,10 @@ void BM_SolveScenario(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveScenario)->Arg(4)->Arg(8)->Arg(12);
 
-// Bit-exactness gate for the numbers above: every fuzz-generated operand
-// pair must combine identically with the vector path on and off. Aborts the
-// bench run on divergence — a fast wrong kernel must never produce a report.
-bool simd_parity_holds() {
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    rota::fuzz::Gen gen(seed);
-    const StepFunction a = gen.step_function(32, true).first;
-    const StepFunction b = gen.step_function(32, true).first;
-    simd::set_enabled(true);
-    simd::set_combine_enabled(true);
-    const StepFunction plus_v = a.plus(b);
-    const StepFunction minus_v = a.minus(b);
-    const StepFunction min_v = a.min(b);
-    const StepFunction max_v = a.max(b);
-    const Rate floor_v = minus_v.min_value();
-    simd::set_enabled(false);
-    const bool ok = plus_v == a.plus(b) && minus_v == a.minus(b) &&
-                    min_v == a.min(b) && max_v == a.max(b) &&
-                    floor_v == a.minus(b).min_value();
-    simd::set_enabled(true);
-    simd::set_combine_enabled(false);
-    if (!ok) {
-      std::cerr << "SIMD parity violation at fuzz seed " << seed << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::cout << "== E7: substrate microbenchmarks ==\n\n";
-  std::cout << "simd: " << (simd::available() ? "avx2" : "scalar-only")
-            << "; verifying scalar/vector parity over 64 fuzz pairs... ";
-  if (!simd_parity_holds()) return EXIT_FAILURE;
-  std::cout << "ok\n\n";
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -134,6 +134,12 @@ int main(int argc, char** argv) {
     recorder->install();
   }
 
+  // Handlers go in before anything can accept work: the server listens from
+  // its constructor on, and a signal from then on must drain, not kill. One
+  // that lands earlier just makes the loop below exit at once.
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGTERM, on_signal);
+
   AdmissionService service(ledger, gen.phi(), config);
 
   std::unique_ptr<FederatedService> federation;
@@ -155,9 +161,6 @@ int main(int argc, char** argv) {
     };
   }
   ServiceServer server(service, sconfig, std::move(submit));
-
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
 
   std::cout << "rota_served: listening on " << socket_path;
   if (tcp) std::cout << " and tcp 127.0.0.1:" << server.tcp_port();

@@ -324,6 +324,23 @@ def gate_e15(base, cand, max_regression):
     if "parity" not in cand or "identical" not in str(cand["parity"]):
         failures.append("candidate artifact carries no parity attestation")
 
+    # Decisions: the same request count must decide the same way. A changed
+    # digest is either a bug or a deliberate recapture, never silent drift.
+    base_n = base.get("workload", {}).get("requests")
+    cand_n = cand.get("workload", {}).get("requests")
+    base_digest = base.get("decision_digest")
+    cand_digest = cand.get("decision_digest")
+    if base_n != cand_n:
+        print(f"decision digest not compared: request counts differ "
+              f"({base_n} vs {cand_n})")
+    elif base_digest is None or cand_digest is None:
+        print("decision digest not compared: an artifact carries none")
+    elif base_digest != cand_digest:
+        failures.append(f"decision digest changed over the same {cand_n} requests: "
+                        f"{base_digest} -> {cand_digest}")
+    else:
+        print(f"decision digest: {cand_digest} over {cand_n} requests (unchanged)")
+
     base_lanes, base_rps = max_lane_rps(base, "baseline")
     cand_lanes, cand_rps = max_lane_rps(cand, "candidate")
     if base_lanes is None:

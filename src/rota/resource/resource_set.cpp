@@ -118,36 +118,32 @@ std::optional<ResourceSet> ResourceSet::relative_complement(
     const ResourceSet& other) const {
   ResourceSet out;
   out.by_type_.reserve(by_type_.size());
+  // A type absent on either side is the zero function. A negative profile
+  // only this set mentions makes the complement undefined; a type only
+  // `other` mentions is subtracted from zero (defined iff 0 dominates it,
+  // and 0 - b may itself be a non-zero profile).
+  auto subtract = [&out](const LocatedType& type, const StepFunction& have,
+                         const StepFunction& take) {
+    std::optional<StepFunction> diff = have.minus_if_dominated(take);
+    if (!diff) return false;  // not dominated: undefined
+    if (!diff->is_zero()) out.by_type_.emplace_back(type, std::move(*diff));
+    return true;
+  };
   auto a = by_type_.begin();
   auto b = other.by_type_.begin();
-  while (a != by_type_.end() && b != other.by_type_.end()) {
-    if (a->first < b->first) {
+  while (a != by_type_.end() || b != other.by_type_.end()) {
+    if (b == other.by_type_.end() ||
+        (a != by_type_.end() && a->first < b->first)) {
       if (a->second.min_value() < 0) return std::nullopt;
       out.by_type_.push_back(*a++);
-    } else if (b->first < a->first) {
-      // Type absent here: availability is the zero function, so the
-      // complement is defined iff 0 dominates b (b non-positive), and the
-      // difference 0 - b may itself be a non-zero profile.
-      StepFunction diff = StepFunction().minus(b->second);
-      if (diff.min_value() < 0) return std::nullopt;
-      if (!diff.is_zero()) out.by_type_.emplace_back(b->first, std::move(diff));
+    } else if (a == by_type_.end() || b->first < a->first) {
+      if (!subtract(b->first, zero_function(), b->second)) return std::nullopt;
       ++b;
     } else {
-      StepFunction diff = a->second.minus(b->second);
-      if (diff.min_value() < 0) return std::nullopt;  // not dominated: undefined
-      if (!diff.is_zero()) out.by_type_.emplace_back(a->first, std::move(diff));
+      if (!subtract(a->first, a->second, b->second)) return std::nullopt;
       ++a;
       ++b;
     }
-  }
-  for (; b != other.by_type_.end(); ++b) {
-    StepFunction diff = StepFunction().minus(b->second);
-    if (diff.min_value() < 0) return std::nullopt;
-    if (!diff.is_zero()) out.by_type_.emplace_back(b->first, std::move(diff));
-  }
-  for (; a != by_type_.end(); ++a) {
-    if (a->second.min_value() < 0) return std::nullopt;
-    out.by_type_.push_back(*a);
   }
   return out;
 }

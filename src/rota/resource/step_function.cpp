@@ -1,32 +1,12 @@
 #include "rota/resource/step_function.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "rota/resource/simd.hpp"
-#include "rota/util/arena.hpp"
-
 namespace rota {
-namespace {
-
-// Below this many segments the SoA restructure (for combines) or the gather
-// setup (for min_value) cannot pay for itself, whatever the host. Above it,
-// min_value wins outright; combines stay behind the opt-in
-// simd::combine_enabled() gate — see the measurement notes in simd.hpp. The
-// e7 micro-bench covers both sides of the threshold.
-constexpr std::size_t kVectorizeThreshold = 16;
-
-// The strided-min kernel reads Segment::value in place, so pin the layout it
-// assumes: three contiguous 64-bit lanes {start, end, value}.
-static_assert(sizeof(Segment) == 3 * sizeof(std::int64_t));
-static_assert(sizeof(Tick) == sizeof(std::int64_t) &&
-              sizeof(Rate) == sizeof(std::int64_t));
-
-}  // namespace
 
 StepFunction::StepFunction(const TimeInterval& iv, Rate value) {
   if (!iv.empty() && value != 0) segments_.push_back({iv, value});
@@ -57,19 +37,15 @@ Rate StepFunction::value_at(Tick t) const {
   return seg.interval.contains(t) ? seg.value : 0;
 }
 
-template <typename Op>
-StepFunction StepFunction::combine(const StepFunction& other, Op op) const {
+template <typename Visit>
+bool StepFunction::walk(const StepFunction& other, Visit visit) const {
   // Both segment lists are sorted and disjoint, and each function is constant
-  // between consecutive boundaries, so one merge walk over the two lists
-  // produces the result in canonical form: advance a cursor boundary to
-  // boundary, emitting op(value here, value there) and coalescing runs as
-  // they appear. One pass, no boundary sort, no per-boundary binary search.
-  // (Requires op(0, 0) == 0, which holds for +, -, min, and max — anything
-  // else would be nonzero over the unbounded gaps outside both supports.)
+  // between consecutive boundaries, so one merge walk advances a cursor
+  // boundary to boundary: one pass, no boundary sort, no per-boundary binary
+  // search. Gaps inside the union of supports are visited with zero values;
+  // the unbounded stretches outside it, where both functions are 0, are not.
   const auto& a = segments_;
   const auto& b = other.segments_;
-  StepFunction result;
-  result.segments_.reserve(a.size() + b.size());
   std::size_t ia = 0, ib = 0;
   Tick t = std::numeric_limits<Tick>::min();
   if (!a.empty()) t = a.front().interval.start();
@@ -98,124 +74,59 @@ StepFunction StepFunction::combine(const StepFunction& other, Op op) const {
         next = std::min(next, b[ib].interval.start());
       }
     }
-    const Rate v = op(va, vb);
-    if (v != 0) {
-      if (!result.segments_.empty() && result.segments_.back().value == v &&
-          result.segments_.back().interval.end() == t) {
-        result.segments_.back().interval =
-            TimeInterval(result.segments_.back().interval.start(), next);
-      } else {
-        result.segments_.push_back({TimeInterval(t, next), v});
-      }
-    }
+    if (!visit(t, next, va, vb)) return false;
     t = next;
   }
-  return result;
+  return true;
 }
 
-StepFunction StepFunction::combine_vectorized(const StepFunction& other,
-                                              CombineOp op) const {
-  // Same boundary walk as combine(), split into three passes so the value
-  // arithmetic runs 4 lanes wide: (1) scalar walk fills SoA arrays from a
-  // thread-local bump arena (zero heap traffic in steady state), (2) vector
-  // kernel combines the value lanes, (3) scalar coalesce emits canonical
-  // segments with the exact emission rules of the single-pass walk.
-  const auto& a = segments_;
-  const auto& b = other.segments_;
-  thread_local util::BumpArena arena(1 << 14);
-  arena.reset();
-  // Each walk iteration strictly advances t to the next boundary drawn from
-  // the 2(|a|+|b|) segment endpoints, so this bound is exact. Records are
-  // contiguous (each iteration's start is the previous iteration's end, gaps
-  // included as zero-value records), so only n+1 boundaries are stored: the
-  // i-th record spans [ts[i], ts[i+1]).
-  const std::size_t cap = 2 * (a.size() + b.size());
-  Tick* ts = arena.allocate_array<Tick>(cap + 1);
-  std::int64_t* va = arena.allocate_array<std::int64_t>(cap);
-  std::int64_t* vb = arena.allocate_array<std::int64_t>(cap);
-  std::size_t n = 0;
-
-  std::size_t ia = 0, ib = 0;
-  Tick t = std::numeric_limits<Tick>::min();
-  if (!a.empty()) t = a.front().interval.start();
-  if (!b.empty() && (a.empty() || b.front().interval.start() < t)) {
-    t = b.front().interval.start();
+// Every emitted piece of every walk passes through here; kept inline so the
+// walk loops pay no call per segment.
+inline void StepFunction::append(Tick start, Tick end, Rate v) {
+  if (v == 0) return;
+  if (!segments_.empty() && segments_.back().value == v &&
+      segments_.back().interval.end() == start) {
+    segments_.back().interval = TimeInterval(segments_.back().interval.start(), end);
+  } else {
+    segments_.push_back({TimeInterval(start, end), v});
   }
-  while (ia < a.size() || ib < b.size()) {
-    while (ia < a.size() && a[ia].interval.end() <= t) ++ia;
-    while (ib < b.size() && b[ib].interval.end() <= t) ++ib;
-    if (ia >= a.size() && ib >= b.size()) break;
-    Rate here_a = 0, here_b = 0;
-    Tick next = std::numeric_limits<Tick>::max();
-    if (ia < a.size()) {
-      if (a[ia].interval.start() <= t) {
-        here_a = a[ia].value;
-        next = a[ia].interval.end();
-      } else {
-        next = a[ia].interval.start();
-      }
-    }
-    if (ib < b.size()) {
-      if (b[ib].interval.start() <= t) {
-        here_b = b[ib].value;
-        next = std::min(next, b[ib].interval.end());
-      } else {
-        next = std::min(next, b[ib].interval.start());
-      }
-    }
-    ts[n] = t;
-    va[n] = here_a;
-    vb[n] = here_b;
-    ++n;
-    t = next;
-  }
-  ts[n] = t;  // closing boundary of the last record
+}
 
-  switch (op) {
-    case CombineOp::kPlus:
-      simd::add_i64(va, vb, va, n);
-      break;
-    case CombineOp::kMinus:
-      simd::sub_i64(va, vb, va, n);
-      break;
-    case CombineOp::kMin:
-      simd::min_i64(va, vb, va, n);
-      break;
-    case CombineOp::kMax:
-      simd::max_i64(va, vb, va, n);
-      break;
-  }
-
+template <typename Op>
+StepFunction StepFunction::combine(const StepFunction& other, Op op) const {
+  // The walk's pieces arrive in time order, so appending op(here, there) and
+  // coalescing runs as they appear yields canonical form directly. (Requires
+  // op(0, 0) == 0, which holds for +, -, min, and max — anything else would
+  // be nonzero over the unbounded gaps outside both supports.)
   StepFunction result;
-  result.segments_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Rate v = va[i];
-    if (v == 0) continue;
-    if (!result.segments_.empty() && result.segments_.back().value == v &&
-        result.segments_.back().interval.end() == ts[i]) {
-      result.segments_.back().interval =
-          TimeInterval(result.segments_.back().interval.start(), ts[i + 1]);
-    } else {
-      result.segments_.push_back({TimeInterval(ts[i], ts[i + 1]), v});
-    }
-  }
+  result.segments_.reserve(segments_.size() + other.segments_.size());
+  walk(other, [&result, op](Tick start, Tick end, Rate va, Rate vb) {
+    result.append(start, end, op(va, vb));
+    return true;
+  });
   return result;
 }
 
 StepFunction StepFunction::plus(const StepFunction& other) const {
-  if (segments_.size() + other.segments_.size() >= kVectorizeThreshold &&
-      simd::combine_enabled()) {
-    return combine_vectorized(other, CombineOp::kPlus);
-  }
   return combine(other, [](Rate a, Rate b) { return a + b; });
 }
 
 StepFunction StepFunction::minus(const StepFunction& other) const {
-  if (segments_.size() + other.segments_.size() >= kVectorizeThreshold &&
-      simd::combine_enabled()) {
-    return combine_vectorized(other, CombineOp::kMinus);
-  }
   return combine(other, [](Rate a, Rate b) { return a - b; });
+}
+
+std::optional<StepFunction> StepFunction::minus_if_dominated(
+    const StepFunction& other) const {
+  StepFunction result;
+  result.segments_.reserve(segments_.size() + other.segments_.size());
+  const bool dominated =
+      walk(other, [&result](Tick start, Tick end, Rate va, Rate vb) {
+        if (va < vb) return false;
+        result.append(start, end, va - vb);
+        return true;
+      });
+  if (!dominated) return std::nullopt;
+  return result;
 }
 
 void StepFunction::add(const TimeInterval& iv, Rate value) {
@@ -223,18 +134,10 @@ void StepFunction::add(const TimeInterval& iv, Rate value) {
 }
 
 StepFunction StepFunction::min(const StepFunction& other) const {
-  if (segments_.size() + other.segments_.size() >= kVectorizeThreshold &&
-      simd::combine_enabled()) {
-    return combine_vectorized(other, CombineOp::kMin);
-  }
   return combine(other, [](Rate a, Rate b) { return a < b ? a : b; });
 }
 
 StepFunction StepFunction::max(const StepFunction& other) const {
-  if (segments_.size() + other.segments_.size() >= kVectorizeThreshold &&
-      simd::combine_enabled()) {
-    return combine_vectorized(other, CombineOp::kMax);
-  }
   return combine(other, [](Rate a, Rate b) { return a > b ? a : b; });
 }
 
@@ -258,14 +161,7 @@ StepFunction StepFunction::clamped_nonnegative() const {
 }
 
 Rate StepFunction::min_value() const {
-  // The function is 0 outside its support, so the min starts (and floors) at
-  // 0. The vector path scans the value lane of the AoS segment layout in
-  // place (stride 3, offset 2 — see the static_asserts above).
-  if (segments_.size() >= kVectorizeThreshold && simd::enabled()) {
-    return simd::strided_min_i64(
-        reinterpret_cast<const std::int64_t*>(segments_.data()),
-        segments_.size(), 3, 2, 0);
-  }
+  // The function is 0 outside its support, so the min starts (and floors) at 0.
   Rate m = 0;
   for (const auto& seg : segments_) m = std::min(m, seg.value);
   return m;
@@ -304,7 +200,7 @@ Quantity StepFunction::integral() const {
 }
 
 bool StepFunction::dominates(const StepFunction& other) const {
-  return minus(other).min_value() >= 0;
+  return walk(other, [](Tick, Tick, Rate va, Rate vb) { return va >= vb; });
 }
 
 IntervalSet StepFunction::support() const {

@@ -44,10 +44,15 @@ class StepFunction {
   Rate value_at(Tick t) const;
 
   /// Pointwise addition / subtraction. Values may go negative under
-  /// subtraction; callers that need non-negativity check `min_value()`.
+  /// subtraction; callers that need non-negativity use minus_if_dominated().
   StepFunction plus(const StepFunction& other) const;
   StepFunction minus(const StepFunction& other) const;
   void add(const TimeInterval& iv, Rate value);
+
+  /// The paper's relative complement on one located type: minus(other) when
+  /// *this dominates `other`, nullopt otherwise. Stops at the first piece
+  /// where *this < other instead of building the whole difference.
+  std::optional<StepFunction> minus_if_dominated(const StepFunction& other) const;
 
   /// Pointwise min / max with another function.
   StepFunction min(const StepFunction& other) const;
@@ -71,7 +76,8 @@ class StepFunction {
   Quantity integral(const TimeInterval& window) const;
   Quantity integral() const;
 
-  /// True iff f(t) >= other(t) for all t.
+  /// True iff f(t) >= other(t) for all t. Allocates nothing and stops at the
+  /// first piece where f < other.
   bool dominates(const StepFunction& other) const;
 
   /// Ticks where f > 0.
@@ -109,16 +115,20 @@ class StepFunction {
   /// Re-establishes canonical form from arbitrary (sorted, disjoint) pieces.
   void normalize();
 
+  /// The one segment-boundary walk: calls visit(start, end, here, there) for
+  /// each piece [start, end) between consecutive segment boundaries of either
+  /// function, from the first start to the last end, in time order. Stops as
+  /// soon as visit returns false; returns false iff it stopped early.
+  template <typename Visit>
+  bool walk(const StepFunction& other, Visit visit) const;
+
   /// Generic pointwise combine over aligned segment boundaries.
   template <typename Op>
   StepFunction combine(const StepFunction& other, Op op) const;
 
-  /// SIMD variant of combine(): the same boundary walk fills SoA value
-  /// arrays, a vector kernel does the pointwise op, and a scalar coalesce
-  /// emits canonical segments. Bit-identical to combine(); used for large
-  /// inputs when rota::simd::enabled().
-  enum class CombineOp { kPlus, kMinus, kMin, kMax };
-  StepFunction combine_vectorized(const StepFunction& other, CombineOp op) const;
+  /// Appends value v on [start, end) (start >= the current back's end),
+  /// dropping zeros and coalescing with an equal-valued touching back.
+  void append(Tick start, Tick end, Rate v);
 
   std::vector<Segment> segments_;
 };

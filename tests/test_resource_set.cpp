@@ -252,6 +252,19 @@ TEST_F(ResourceSetTest, ComplementDefinedOverNegativeProfileOfAbsentType) {
   EXPECT_EQ(diff->unioned(b), a);
 }
 
+TEST_F(ResourceSetTest, ComplementRejectsPositiveProfileOfOtherOnlyType) {
+  // b asks for a type a never mentions: a's implicit zero cannot cover a
+  // positive rate, even though a is rich in every type it does hold.
+  ResourceSet a;
+  a.add(50, TimeInterval(0, 10), cpu1);
+  ResourceSet b;
+  b.add(1, TimeInterval(0, 10), cpu1);
+  b.add(1, TimeInterval(4, 5), net12);
+
+  EXPECT_FALSE(a.dominates(b));
+  EXPECT_FALSE(a.relative_complement(b).has_value());
+}
+
 TEST_F(ResourceSetTest, NegativeProfileOfOwnOnlyTypeBreaksDominance) {
   // a holds a negative profile for a type b never mentions. Pointwise that
   // reads a < 0 = b, so dominance fails and the complement is undefined —

@@ -2,13 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
+#include "rota/fuzz/gen.hpp"
 #include "rota/util/rng.hpp"
 
 namespace rota {
 namespace {
+
+// Every tick where either function may change value: both are constant
+// between consecutive entries, so checking these ticks checks all of time.
+std::vector<Tick> boundaries(const StepFunction& a, const StepFunction& b) {
+  std::vector<Tick> ticks;
+  for (const StepFunction* f : {&a, &b}) {
+    for (const auto& seg : f->segments()) {
+      ticks.push_back(seg.interval.start());
+      ticks.push_back(seg.interval.end());
+    }
+  }
+  return ticks;
+}
+
+bool dominates_pointwise(const StepFunction& a, const StepFunction& b) {
+  for (Tick t : boundaries(a, b)) {
+    if (a.value_at(t) < b.value_at(t)) return false;
+  }
+  return true;
+}
+
+// Sums `terms` random two-term functions (negative rates allowed); 4 to 24
+// terms span combined segment counts from a handful to several dozen.
+StepFunction summed_terms(fuzz::Gen& gen, int terms) {
+  StepFunction f;
+  for (int i = 0; i < terms; ++i) f = f.plus(gen.step_function(2, true).first);
+  return f;
+}
+
+// Alternating ±max/4 rates on meeting unit segments: a and b interleave so
+// every combined piece carries an extreme value (max/4 - -max/4 still fits).
+std::pair<StepFunction, StepFunction> extreme_pair() {
+  const Rate big = std::numeric_limits<Rate>::max() / 4;
+  StepFunction a, b;
+  for (int i = 0; i < 12; ++i) {
+    a = a.plus(StepFunction(TimeInterval(2 * i, 2 * i + 1), i % 2 ? big : -big));
+    b = b.plus(StepFunction(TimeInterval(2 * i + 1, 2 * i + 2), i % 2 ? -big : big));
+  }
+  return {a, b};
+}
 
 TEST(StepFunction, ZeroByDefault) {
   StepFunction f;
@@ -67,6 +110,24 @@ TEST(StepFunction, MinusProducesNegativeValues) {
   EXPECT_EQ(h.value_at(3), -3);
   EXPECT_EQ(h.value_at(5), -5);
   EXPECT_EQ(h.min_value(), -5);
+
+  // A handful to dozens of combined segments, and ±max/4 rates.
+  std::vector<std::pair<StepFunction, StepFunction>> pairs{extreme_pair()};
+  for (int terms : {4, 8, 12, 16, 24}) {
+    fuzz::Gen gen(static_cast<std::uint64_t>(100 + terms));
+    StepFunction a = summed_terms(gen, terms);
+    pairs.emplace_back(a, summed_terms(gen, terms));
+  }
+  for (const auto& [a, b] : pairs) {
+    const StepFunction diff = a.minus(b);
+    for (Tick t : boundaries(a, b)) {
+      EXPECT_EQ(diff.value_at(t), a.value_at(t) - b.value_at(t)) << "t=" << t;
+    }
+    EXPECT_EQ(diff.plus(b), a);
+  }
+  const auto [a, b] = extreme_pair();
+  EXPECT_EQ(a.min_value(), -std::numeric_limits<Rate>::max() / 4);
+  EXPECT_EQ(a.min(b).min_value(), -std::numeric_limits<Rate>::max() / 4);
 }
 
 TEST(StepFunction, MinusSelfIsZero) {
@@ -129,6 +190,80 @@ TEST(StepFunction, Dominates) {
   // More total quantity does not imply domination.
   StepFunction spike(TimeInterval(0, 1), 100);
   EXPECT_FALSE(spike.dominates(g));
+
+  // A handful to dozens of combined segments, and ±max/4 rates.
+  std::vector<std::pair<StepFunction, StepFunction>> pairs{extreme_pair()};
+  for (int terms : {4, 8, 12, 16, 24}) {
+    fuzz::Gen gen(static_cast<std::uint64_t>(200 + terms));
+    const StepFunction a = summed_terms(gen, terms);
+    const StepFunction b = summed_terms(gen, terms);
+    pairs.emplace_back(a, b);
+    pairs.emplace_back(a.max(b), b);  // dominated by construction
+  }
+  for (const auto& [a, b] : pairs) {
+    EXPECT_EQ(a.dominates(b), dominates_pointwise(a, b)) << a << " vs " << b;
+    EXPECT_EQ(b.dominates(a), dominates_pointwise(b, a)) << b << " vs " << a;
+  }
+}
+
+TEST(StepFunctionDominates, FailsOnlyInsideAGapOfThis) {
+  // f covers [0,4) and [6,10) generously; g asks for 1 across [0,10). The
+  // only losing ticks are f's gap [4,6), where f reads 0.
+  StepFunction f(TimeInterval(0, 4), 9);
+  f.add(TimeInterval(6, 10), 9);
+  const StepFunction g(TimeInterval(0, 10), 1);
+  EXPECT_FALSE(f.dominates(g));
+  EXPECT_FALSE(f.minus_if_dominated(g).has_value());
+  // Filling the gap restores dominance.
+  f.add(TimeInterval(4, 6), 1);
+  EXPECT_TRUE(f.dominates(g));
+  EXPECT_TRUE(f.minus_if_dominated(g).has_value());
+}
+
+TEST(StepFunctionDominates, NegativeThisAgainstZero) {
+  StepFunction debt(TimeInterval(3, 5), -2);
+  EXPECT_FALSE(debt.dominates(StepFunction::zero()));
+  EXPECT_TRUE(StepFunction::zero().dominates(debt));
+  EXPECT_FALSE(debt.minus_if_dominated(StepFunction::zero()).has_value());
+  // 0 - debt is the positive mirror image.
+  const auto mirror = StepFunction::zero().minus_if_dominated(debt);
+  ASSERT_TRUE(mirror.has_value());
+  EXPECT_EQ(*mirror, StepFunction(TimeInterval(3, 5), 2));
+  EXPECT_TRUE(StepFunction::zero().dominates(StepFunction::zero()));
+  EXPECT_EQ(StepFunction::zero().minus_if_dominated(StepFunction::zero()),
+            StepFunction::zero());
+}
+
+TEST(StepFunctionMinusIfDominated, RejectsALateFirstNegativePiece) {
+  // 40 pieces where f exceeds g, then one tick at the very end where g wins.
+  StepFunction f, g;
+  for (int i = 0; i < 40; ++i) {
+    f.add(TimeInterval(2 * i, 2 * i + 2), 10 + i % 3);
+    g.add(TimeInterval(2 * i, 2 * i + 1), 5);
+  }
+  g.add(TimeInterval(79, 80), 20);
+  EXPECT_FALSE(f.dominates(g));
+  EXPECT_FALSE(f.minus_if_dominated(g).has_value());
+  EXPECT_LT(f.minus(g).min_value(), 0);
+}
+
+TEST(StepFunctionMinusIfDominated, EqualsMinusWheneverDefined) {
+  int defined = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    fuzz::Gen gen(seed);
+    const StepFunction a = gen.step_function(24, true).first;
+    const StepFunction b = gen.step_function(24, true).first;
+    for (const StepFunction& have : {a, a.max(b), a.plus(b)}) {
+      const auto got = have.minus_if_dominated(b);
+      ASSERT_EQ(got.has_value(), have.minus(b).min_value() >= 0) << "seed " << seed;
+      EXPECT_EQ(got.has_value(), have.dominates(b)) << "seed " << seed;
+      if (got) {
+        EXPECT_EQ(*got, have.minus(b)) << "seed " << seed;
+        ++defined;
+      }
+    }
+  }
+  EXPECT_GE(defined, 64);  // a.max(b) is always defined
 }
 
 TEST(StepFunction, Support) {
