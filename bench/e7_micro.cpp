@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "rota/resource/resource_set.hpp"
 #include "rota/resource/step_function.hpp"
@@ -115,6 +117,33 @@ void BM_ResourceSetUnion(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceSetUnion)
     ->Args({4, 16})->Args({16, 16})->Args({64, 16})->Args({16, 256});
+
+// Churned supply ingestion: N random terms, one at a time, over 8 located
+// types — the acquisition rule Θ ∪ {[r]^τ_ξ} applied N times. Each add
+// splices into the touched segments of one profile, so the whole build should
+// grow near-linearly in N rather than quadratically.
+void BM_ResourceSetAddTerms(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(17);
+  std::vector<LocatedType> types;
+  for (int t = 0; t < 8; ++t) {
+    types.push_back(LocatedType::cpu(Location("mb-t" + std::to_string(t))));
+  }
+  std::vector<ResourceTerm> terms;
+  terms.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Tick start = rng.uniform(0, 100000);
+    terms.emplace_back(rng.uniform(1, 16), TimeInterval(start, start + rng.uniform(1, 400)),
+                       types[rng.index(types.size())]);
+  }
+  for (auto _ : state) {
+    ResourceSet supply;
+    for (const ResourceTerm& term : terms) supply.add(term);
+    benchmark::DoNotOptimize(supply);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ResourceSetAddTerms)->Arg(256)->Arg(2048)->Arg(16384)->Complexity();
 
 void BM_ResourceSetRelativeComplement(benchmark::State& state) {
   const int types = static_cast<int>(state.range(0));

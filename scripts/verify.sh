@@ -4,7 +4,12 @@
 #   tier-1             full build + full ctest in build/
 #   concurrency pass   -DROTA_SANITIZE=thread build in build-tsan/ + ctest -L tsan
 #
-# Usage: scripts/verify.sh [tier1|tsan|all]     (default: all)
+# plus, on request, a memory-safety pass:
+#
+#   asan               -DROTA_SANITIZE=address (ASan + UBSan) build in
+#                      build-asan/ + the full ctest
+#
+# Usage: scripts/verify.sh [tier1|tsan|asan|all]     (default: all = tier1 + tsan)
 #
 # Optional perf gate (not part of tier-1; needs an >= 8-cpu host to be
 # meaningful): ROTA_VERIFY_BENCH=1 scripts/verify.sh additionally runs
@@ -30,6 +35,13 @@ tsan() {
   ctest --test-dir build-tsan -L tsan --output-on-failure -j "${jobs}"
 }
 
+asan() {
+  echo "== memory-safety pass: address+UB-sanitized full test suite =="
+  cmake -B build-asan -S . -DROTA_SANITIZE=address >/dev/null
+  cmake --build build-asan -j "${jobs}"
+  ctest --test-dir build-asan --output-on-failure -j "${jobs}"
+}
+
 bench_gate() {
   echo "== perf gate: e15 8-lane speedup vs stored baseline =="
   ./build/bench/e15_throughput /tmp/e15_latest.json --force \
@@ -41,11 +53,12 @@ bench_gate() {
 case "${mode}" in
   tier1) tier1 ;;
   tsan) tsan ;;
+  asan) asan ;;
   all) tier1; tsan ;;
-  *) echo "usage: $0 [tier1|tsan|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [tier1|tsan|asan|all]" >&2; exit 2 ;;
 esac
 
-if [[ "${ROTA_VERIFY_BENCH:-0}" == "1" && "${mode}" != "tsan" ]]; then
+if [[ "${ROTA_VERIFY_BENCH:-0}" == "1" && ( "${mode}" == "tier1" || "${mode}" == "all" ) ]]; then
   bench_gate
 fi
 

@@ -354,6 +354,46 @@ void calculus_case(Gen& g, Recorder& rec) {
     });
     rec.check("res-terms-roundtrip-ref", diff_resources(rebuilt, nn_ref));
   }
+  {
+    // Long profiles. The generators above add at most 6 terms, so the in-place
+    // add's binary search and neighbour splice only ever see a handful of
+    // segments. Here 64-128 terms (negative rates included, half of them
+    // short) build one profile and one resource set term by term, then a
+    // whole profile is added into the long one.
+    StepFunction long_f;
+    DenseFn long_ref(lo, hi);
+    ResourceSet long_set;
+    DenseResources long_set_ref(lo, hi);
+    const int terms = static_cast<int>(g.rng().uniform(64, 128));
+    for (int i = 0; i < terms; ++i) {
+      TimeInterval iv = g.interval();
+      if (g.rng().chance(0.5)) {
+        const Tick start = g.rng().uniform(Gen::term_lo(), Gen::term_hi());
+        iv = TimeInterval(start, start + g.rng().uniform(1, 4));
+      }
+      const Rate rate = g.rng().uniform(-5, 5);
+      long_f.add(iv, rate);
+      long_ref.add(iv, rate);
+      const LocatedType type = g.located_type();
+      if (rate < 0) {
+        long_set.add(type, StepFunction(iv, rate));  // terms carry no negative rate
+      } else {
+        long_set.add(rate, iv, type);
+      }
+      if (!iv.empty() && rate != 0) long_set_ref.of(type).add(iv, rate);
+    }
+    rec.check("fn-long-build", diff_fn(long_f, long_ref));
+    rec.check("fn-long-canonical", check_canonical(long_f));
+    long_f.add(f);
+    rec.check("fn-long-add-profile", diff_fn(long_f, long_ref.plus(fr)));
+    rec.check("fn-long-add-profile-canonical", check_canonical(long_f));
+    rec.check("res-long-build", diff_resources(long_set, long_set_ref));
+    rec.check("res-long-canonical", check_canonical(long_set));
+    ResourceSet joined = long_set;
+    joined.union_with(a);
+    rec.check("res-long-union-with", diff_resources(joined, long_set_ref.unioned(ar)));
+    rec.check("res-long-union-with-canonical", check_canonical(joined));
+  }
 }
 
 }  // namespace

@@ -33,50 +33,30 @@ const StepFunction* ResourceSet::find(const LocatedType& type) const {
 }
 
 void ResourceSet::add(const ResourceTerm& term) {
-  if (term.is_null()) return;
-  auto it = std::lower_bound(by_type_.begin(), by_type_.end(), term.type(),
-                             EntryTypeLess{});
-  if (it != by_type_.end() && it->first == term.type()) {
-    it->second.add(term.interval(), term.rate());
-    // A positive term can exactly cancel a negative stretch of the stored
-    // profile; keep the no-zero-profiles invariant.
-    if (it->second.is_zero()) by_type_.erase(it);
-  } else {
-    by_type_.emplace(it, term.type(), StepFunction(term.interval(), term.rate()));
-  }
+  if (!term.is_null()) add(term.type(), StepFunction(term.interval(), term.rate()));
 }
 
 void ResourceSet::add(const LocatedType& type, StepFunction profile) {
+  splice(type, std::move(profile));
+}
+
+template <typename Profile>
+void ResourceSet::splice(const LocatedType& type, Profile&& profile) {
   if (profile.is_zero()) return;
   auto it = std::lower_bound(by_type_.begin(), by_type_.end(), type, EntryTypeLess{});
   if (it != by_type_.end() && it->first == type) {
-    it->second = it->second.plus(profile);
+    it->second.add(profile);
+    // Opposite-sign profiles can cancel exactly; keep the no-zero-profiles
+    // invariant.
     if (it->second.is_zero()) by_type_.erase(it);
   } else {
-    by_type_.emplace(it, type, std::move(profile));
+    by_type_.emplace(it, type, std::forward<Profile>(profile));
   }
 }
 
 ResourceSet ResourceSet::unioned(const ResourceSet& other) const& {
-  ResourceSet out;
-  out.by_type_.reserve(by_type_.size() + other.by_type_.size());
-  auto a = by_type_.begin();
-  auto b = other.by_type_.begin();
-  while (a != by_type_.end() && b != other.by_type_.end()) {
-    if (a->first < b->first) {
-      out.by_type_.push_back(*a++);
-    } else if (b->first < a->first) {
-      out.by_type_.push_back(*b++);
-    } else {
-      StepFunction sum = a->second.plus(b->second);
-      // Opposite-sign profiles can cancel exactly; drop zero entries.
-      if (!sum.is_zero()) out.by_type_.emplace_back(a->first, std::move(sum));
-      ++a;
-      ++b;
-    }
-  }
-  out.by_type_.insert(out.by_type_.end(), a, by_type_.end());
-  out.by_type_.insert(out.by_type_.end(), b, other.by_type_.end());
+  ResourceSet out = *this;
+  out.union_with(other);
   return out;
 }
 
@@ -86,32 +66,7 @@ ResourceSet ResourceSet::unioned(const ResourceSet& other) && {
 }
 
 void ResourceSet::union_with(const ResourceSet& other) {
-  if (other.by_type_.empty()) return;
-  if (by_type_.empty()) {
-    by_type_ = other.by_type_;
-    return;
-  }
-  // Merge from the back into freshly reserved space so matching types are
-  // combined in place and new types are inserted in one pass.
-  std::vector<Entry> merged;
-  merged.reserve(by_type_.size() + other.by_type_.size());
-  auto a = by_type_.begin();
-  auto b = other.by_type_.begin();
-  while (a != by_type_.end() && b != other.by_type_.end()) {
-    if (a->first < b->first) {
-      merged.push_back(std::move(*a++));
-    } else if (b->first < a->first) {
-      merged.push_back(*b++);
-    } else {
-      StepFunction sum = a->second.plus(b->second);
-      if (!sum.is_zero()) merged.emplace_back(a->first, std::move(sum));
-      ++a;
-      ++b;
-    }
-  }
-  for (; a != by_type_.end(); ++a) merged.push_back(std::move(*a));
-  merged.insert(merged.end(), b, other.by_type_.end());
-  by_type_ = std::move(merged);
+  for (const auto& [type, profile] : other.by_type_) splice(type, profile);
 }
 
 std::optional<ResourceSet> ResourceSet::relative_complement(

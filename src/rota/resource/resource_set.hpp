@@ -11,9 +11,10 @@
 //
 // The per-type profiles live in a flat vector sorted by located type (no
 // zero functions stored). Admission planning unions and subtracts resource
-// sets on every request, so the binary operations below are merge walks over
-// the two sorted vectors — one pass, no node allocations — rather than
-// per-key tree lookups.
+// sets on every request, so complement and dominance are merge walks over the
+// two sorted vectors — one pass, no node allocations — rather than per-key
+// tree lookups, and union adds each incoming profile in place, touching only
+// the segments it overlaps.
 #pragma once
 
 #include <initializer_list>
@@ -50,7 +51,8 @@ class ResourceSet {
   /// Move-aware overload: reuses this set's storage.
   ResourceSet unioned(const ResourceSet& other) &&;
 
-  /// In-place union (Θ ← Θ ∪ Θ2) — the ledger's join path.
+  /// In-place union (Θ ← Θ ∪ Θ2) — the ledger's join path: one in-place
+  /// StepFunction::add per type of `other`.
   void union_with(const ResourceSet& other);
 
   /// Θ1 \ Θ2 — the paper's relative complement. Defined only when every term
@@ -127,6 +129,12 @@ class ResourceSet {
   using Entry = std::pair<LocatedType, StepFunction>;
 
   static const StepFunction& zero_function();
+
+  /// Adds `profile` into the entry of `type` in place (StepFunction::add),
+  /// creating the entry when the type is new and erasing it when the sum
+  /// cancels to zero. The profile is moved in only when it is an rvalue.
+  template <typename Profile>
+  void splice(const LocatedType& type, Profile&& profile);
 
   /// Profile of `type`, or nullptr if absent.
   StepFunction* find(const LocatedType& type);

@@ -38,14 +38,13 @@ Rate StepFunction::value_at(Tick t) const {
 }
 
 template <typename Visit>
-bool StepFunction::walk(const StepFunction& other, Visit visit) const {
+bool StepFunction::walk(std::span<const Segment> a, std::span<const Segment> b,
+                        Visit visit) {
   // Both segment lists are sorted and disjoint, and each function is constant
   // between consecutive boundaries, so one merge walk advances a cursor
   // boundary to boundary: one pass, no boundary sort, no per-boundary binary
   // search. Gaps inside the union of supports are visited with zero values;
   // the unbounded stretches outside it, where both functions are 0, are not.
-  const auto& a = segments_;
-  const auto& b = other.segments_;
   std::size_t ia = 0, ib = 0;
   Tick t = std::numeric_limits<Tick>::min();
   if (!a.empty()) t = a.front().interval.start();
@@ -100,7 +99,7 @@ StepFunction StepFunction::combine(const StepFunction& other, Op op) const {
   // be nonzero over the unbounded gaps outside both supports.)
   StepFunction result;
   result.segments_.reserve(segments_.size() + other.segments_.size());
-  walk(other, [&result, op](Tick start, Tick end, Rate va, Rate vb) {
+  walk(segments_, other.segments_, [&result, op](Tick start, Tick end, Rate va, Rate vb) {
     result.append(start, end, op(va, vb));
     return true;
   });
@@ -120,7 +119,7 @@ std::optional<StepFunction> StepFunction::minus_if_dominated(
   StepFunction result;
   result.segments_.reserve(segments_.size() + other.segments_.size());
   const bool dominated =
-      walk(other, [&result](Tick start, Tick end, Rate va, Rate vb) {
+      walk(segments_, other.segments_, [&result](Tick start, Tick end, Rate va, Rate vb) {
         if (va < vb) return false;
         result.append(start, end, va - vb);
         return true;
@@ -130,7 +129,56 @@ std::optional<StepFunction> StepFunction::minus_if_dominated(
 }
 
 void StepFunction::add(const TimeInterval& iv, Rate value) {
-  *this = plus(StepFunction(iv, value));
+  if (iv.empty() || value == 0) return;
+  const Segment term{iv, value};
+  splice_add({&term, 1});
+}
+
+void StepFunction::add(const StepFunction& update) { splice_add(update.segments_); }
+
+void StepFunction::splice_add(std::span<const Segment> update) {
+  if (update.empty()) return;
+  const Tick lo = update.front().interval.start();
+  const Tick hi = update.back().interval.end();
+  if (segments_.empty() || segments_.back().interval.end() <= lo) {
+    for (const auto& seg : update) append(seg.interval.start(), seg.interval.end(), seg.value);
+    return;
+  }
+  // The segments [lo, hi) overlaps, widened by one neighbour on each side.
+  // The update is zero on those neighbours, so the walk reproduces their
+  // outer ends unchanged: any coalescing across an edge of the slice happens
+  // inside the walk, and writing the result back over the slice keeps the
+  // whole profile canonical.
+  auto first = segments_.begin();
+  auto last = segments_.end();
+  if (first->interval.end() <= lo) {
+    first = std::prev(std::partition_point(
+        first, last, [lo](const Segment& s) { return s.interval.end() <= lo; }));
+  }
+  if (std::prev(last)->interval.start() >= hi) {
+    last = std::next(std::partition_point(
+        first, last, [hi](const Segment& s) { return s.interval.start() < hi; }));
+  }
+  const auto old_n = static_cast<std::size_t>(last - first);
+
+  StepFunction merged;
+  merged.segments_.reserve(old_n + update.size());
+  walk({first, last}, update, [&merged](Tick start, Tick end, Rate va, Rate vb) {
+    merged.append(start, end, va + vb);
+    return true;
+  });
+  if (old_n == segments_.size()) {
+    segments_ = std::move(merged.segments_);
+    return;
+  }
+  const std::vector<Segment>& fresh = merged.segments_;
+  const std::size_t keep = std::min(old_n, fresh.size());
+  first = std::copy_n(fresh.begin(), keep, first);
+  if (fresh.size() < old_n) {
+    segments_.erase(first, last);
+  } else {
+    segments_.insert(first, fresh.begin() + static_cast<std::ptrdiff_t>(keep), fresh.end());
+  }
 }
 
 StepFunction StepFunction::min(const StepFunction& other) const {
@@ -200,7 +248,8 @@ Quantity StepFunction::integral() const {
 }
 
 bool StepFunction::dominates(const StepFunction& other) const {
-  return walk(other, [](Tick, Tick, Rate va, Rate vb) { return va >= vb; });
+  return walk(segments_, other.segments_,
+              [](Tick, Tick, Rate va, Rate vb) { return va >= vb; });
 }
 
 IntervalSet StepFunction::support() const {

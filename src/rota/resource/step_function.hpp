@@ -10,6 +10,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,13 @@ class StepFunction {
   /// subtraction; callers that need non-negativity use minus_if_dominated().
   StepFunction plus(const StepFunction& other) const;
   StepFunction minus(const StepFunction& other) const;
+
+  /// In-place pointwise addition (the paper's union Θ ∪ {[r]^τ_ξ} on one
+  /// located type). Rewrites only the segments the update's support touches:
+  /// O(log n + k) for an update overlapping k of n segments, plus the shift of
+  /// the segments after them when the count changes.
   void add(const TimeInterval& iv, Rate value);
+  void add(const StepFunction& update);
 
   /// The paper's relative complement on one located type: minus(other) when
   /// *this dominates `other`, nullopt otherwise. Stops at the first piece
@@ -115,12 +122,13 @@ class StepFunction {
   /// Re-establishes canonical form from arbitrary (sorted, disjoint) pieces.
   void normalize();
 
-  /// The one segment-boundary walk: calls visit(start, end, here, there) for
-  /// each piece [start, end) between consecutive segment boundaries of either
-  /// function, from the first start to the last end, in time order. Stops as
-  /// soon as visit returns false; returns false iff it stopped early.
+  /// The one segment-boundary walk over two canonical segment runs: calls
+  /// visit(start, end, va, vb) for each piece [start, end) between consecutive
+  /// segment boundaries of either run, from the first start to the last end,
+  /// in time order. Stops as soon as visit returns false; returns false iff it
+  /// stopped early.
   template <typename Visit>
-  bool walk(const StepFunction& other, Visit visit) const;
+  static bool walk(std::span<const Segment> a, std::span<const Segment> b, Visit visit);
 
   /// Generic pointwise combine over aligned segment boundaries.
   template <typename Op>
@@ -129,6 +137,9 @@ class StepFunction {
   /// Appends value v on [start, end) (start >= the current back's end),
   /// dropping zeros and coalescing with an equal-valued touching back.
   void append(Tick start, Tick end, Rate v);
+
+  /// The in-place add behind both add() overloads; `update` is canonical.
+  void splice_add(std::span<const Segment> update);
 
   std::vector<Segment> segments_;
 };

@@ -55,13 +55,15 @@ TEST_F(FormulaParserTest, SatisfyResolvesComputation) {
 }
 
 TEST_F(FormulaParserTest, SatisfyWindowOverrides) {
-  const auto* by = std::get_if<SatisfyConcurrent>(
-      &parse_formula("satisfy(job1 by 15)", scenario, phi)->node());
+  // Each parsed formula is held in a local: the node pointers point into it.
+  const FormulaPtr by_formula = parse_formula("satisfy(job1 by 15)", scenario, phi);
+  const auto* by = std::get_if<SatisfyConcurrent>(&by_formula->node());
   ASSERT_NE(by, nullptr);
   EXPECT_EQ(by->rho.window(), TimeInterval(0, 15));
 
-  const auto* both = std::get_if<SatisfyConcurrent>(
-      &parse_formula("satisfy(job1 from 3 by 15)", scenario, phi)->node());
+  const FormulaPtr both_formula =
+      parse_formula("satisfy(job1 from 3 by 15)", scenario, phi);
+  const auto* both = std::get_if<SatisfyConcurrent>(&both_formula->node());
   ASSERT_NE(both, nullptr);
   EXPECT_EQ(both->rho.window(), TimeInterval(3, 15));
 }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+
+#include "rota/fuzz/reference.hpp"
+#include "rota/util/rng.hpp"
 
 namespace rota {
 namespace {
@@ -347,6 +351,114 @@ TEST_F(ResourceSetTest, ComplementIffDominatesAtBoundaries) {
   // Touching-but-overhanging windows are not dominated.
   EXPECT_FALSE(prefix.relative_complement(touching).has_value());
 }
+
+// ---------------------------------------------------------------------------
+// Union by in-place splice: add(term), add(type, profile) and union_with all
+// add into the stored profile of each type, creating and erasing entries.
+
+TEST_F(ResourceSetTest, TermThatCancelsASegmentKeepsTheRestOfTheType) {
+  ResourceSet s;
+  s.add(3, TimeInterval(0, 4), cpu1);
+  s.add(5, TimeInterval(4, 8), cpu1);
+  StepFunction drain;
+  drain.add(TimeInterval(4, 8), -5);
+  s.add(cpu1, drain);
+  EXPECT_EQ(s.availability(cpu1).to_string(), "3@[0, 4)");
+  EXPECT_EQ(s.types().size(), 1u);
+}
+
+TEST_F(ResourceSetTest, TermThatEmptiesATypeErasesTheEntry) {
+  ResourceSet s;
+  s.add(2, TimeInterval(0, 5), net12);
+  s.add(cpu1, StepFunction(TimeInterval(0, 4), -3));
+  s.add(ResourceTerm(3, TimeInterval(0, 4), cpu1));
+  EXPECT_EQ(s.types(), std::vector<LocatedType>{net12});
+  EXPECT_EQ(fuzz::check_canonical(s), std::nullopt);
+  ResourceSet expected;
+  expected.add(2, TimeInterval(0, 5), net12);
+  EXPECT_EQ(s, expected);
+}
+
+TEST_F(ResourceSetTest, UnionWithInsertsNewTypesInOrderAndAddsShared) {
+  const LocatedType cpu2 = LocatedType::cpu(l2);
+  const LocatedType mem1 = LocatedType::memory(l1);
+  ResourceSet a;
+  a.add(1, TimeInterval(0, 4), cpu1);
+  a.add(1, TimeInterval(0, 4), net12);
+  ResourceSet b;
+  b.add(2, TimeInterval(2, 6), cpu1);
+  b.add(4, TimeInterval(0, 1), cpu2);
+  b.add(5, TimeInterval(0, 1), mem1);
+  ResourceSet in_place = a;
+  in_place.union_with(b);
+  EXPECT_EQ(fuzz::check_canonical(in_place), std::nullopt);
+  EXPECT_EQ(in_place.types().size(), 4u);
+  EXPECT_EQ(in_place.availability(cpu1).to_string(), "1@[0, 2) + 3@[2, 4) + 2@[4, 6)");
+  EXPECT_EQ(in_place, a.unioned(b));
+  EXPECT_EQ(in_place, b.unioned(a));
+  EXPECT_EQ(ResourceSet(a).unioned(b), in_place);  // the rvalue overload
+}
+
+TEST_F(ResourceSetTest, UnionWithItselfDoubles) {
+  ResourceSet s;
+  s.add(2, TimeInterval(0, 5), cpu1);
+  s.add(cpu1, StepFunction(TimeInterval(6, 8), -1));
+  s.add(3, TimeInterval(1, 2), net12);
+  ResourceSet doubled = s;
+  doubled.union_with(doubled);
+  EXPECT_EQ(doubled.availability(cpu1), s.availability(cpu1).plus(s.availability(cpu1)));
+  EXPECT_EQ(doubled.availability(net12).to_string(), "6@[1, 2)");
+}
+
+// Random terms over 8 types (negative profiles through add(type, profile)):
+// the spliced set equals, type by type, the fold of plus() and stays
+// canonical; union_with of two such sets equals their per-type sums.
+class ResourceSetSpliceProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ResourceSetSpliceProperty, SplicedUnionEqualsTheFoldOfPlus) {
+  util::Rng rng(GetParam());
+  std::vector<LocatedType> pool;
+  for (int i = 0; i < 4; ++i) {
+    const Location at("rs-p" + std::to_string(i));
+    pool.push_back(LocatedType::cpu(at));
+    pool.push_back(LocatedType::memory(at));
+  }
+  auto build = [&](ResourceSet& set, std::map<LocatedType, StepFunction>& fold) {
+    const int terms = static_cast<int>(rng.uniform(1, 200));
+    for (int i = 0; i < terms; ++i) {
+      const LocatedType& type = pool[rng.index(pool.size())];
+      const Tick start = rng.uniform(0, 300);
+      const TimeInterval iv(start, start + rng.uniform(1, 20));
+      if (rng.chance(0.2)) {
+        const Rate rate = rng.uniform(-4, -1);
+        set.add(type, StepFunction(iv, rate));
+        fold[type] = fold[type].plus(StepFunction(iv, rate));
+      } else {
+        const Rate rate = rng.uniform(1, 6);
+        set.add(rate, iv, type);
+        fold[type] = fold[type].plus(StepFunction(iv, rate));
+      }
+    }
+  };
+  ResourceSet a, b;
+  std::map<LocatedType, StepFunction> fa, fb;
+  build(a, fa);
+  build(b, fb);
+  ASSERT_EQ(fuzz::check_canonical(a), std::nullopt);
+  for (const LocatedType& type : pool) {
+    EXPECT_EQ(a.availability(type), fa[type]) << type.to_string();
+  }
+  ResourceSet joined = a;
+  joined.union_with(b);
+  ASSERT_EQ(fuzz::check_canonical(joined), std::nullopt);
+  for (const LocatedType& type : pool) {
+    EXPECT_EQ(joined.availability(type), fa[type].plus(fb[type])) << type.to_string();
+  }
+  EXPECT_EQ(joined, a.unioned(b));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResourceSetSpliceProperty,
+                         ::testing::Range<std::uint64_t>(1, 65));
 
 }  // namespace
 }  // namespace rota

@@ -166,7 +166,7 @@ TEST(BoundedQueueTest, CloseWakesConsumersAndDrainsAcceptedItems) {
 /// stand-in for "exact planning became expensive under this workload".
 class SlowExact final : public AnytimeStrategy {
  public:
-  SlowExact(const PlanningKernel& kernel, std::atomic<int>& delay_ms)
+  SlowExact(PlanningKernel kernel, std::atomic<int>& delay_ms)
       : kernel_(kernel), delay_ms_(delay_ms) {}
   const char* name() const override { return "exact"; }
   PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
@@ -180,7 +180,7 @@ class SlowExact final : public AnytimeStrategy {
   }
 
  private:
-  const PlanningKernel& kernel_;
+  const PlanningKernel kernel_;  // by value: callers pass a temporary
   std::atomic<int>& delay_ms_;
 };
 
@@ -188,7 +188,7 @@ class SlowExact final : public AnytimeStrategy {
 /// shedding and drain behavior can be observed deterministically.
 class LatchedExact final : public AnytimeStrategy {
  public:
-  explicit LatchedExact(const PlanningKernel& kernel) : kernel_(kernel) {}
+  explicit LatchedExact(PlanningKernel kernel) : kernel_(kernel) {}
   const char* name() const override { return "exact"; }
   PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
                        const FeasibilitySnapshot& snapshot,
@@ -216,7 +216,7 @@ class LatchedExact final : public AnytimeStrategy {
   }
 
  private:
-  const PlanningKernel& kernel_;
+  const PlanningKernel kernel_;  // by value: callers pass a temporary
   std::mutex mutex_;
   std::condition_variable entered_cv_, released_cv_;
   int entered_ = 0;

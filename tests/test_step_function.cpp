@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "rota/fuzz/gen.hpp"
+#include "rota/fuzz/reference.hpp"
 #include "rota/util/rng.hpp"
 
 namespace rota {
@@ -600,6 +601,141 @@ TEST(StepFunctionEdges, RestrictedAtExactSegmentBoundaries) {
   EXPECT_EQ(r2.segments()[0], (Segment{TimeInterval(2, 4), 2}));
   EXPECT_TRUE(f.restricted(TimeInterval(8, 12)).is_zero());
 }
+
+// ---------------------------------------------------------------------------
+// In-place add: the splice rewrites only the segments an update overlaps,
+// widened by one neighbour on each side. These pin the edges of that window
+// (coalescing into a neighbour, cancellation, gaps, the ends of the profile)
+// against the full-walk plus(), whose canonical result is unique.
+
+// f built by pieces through plus(), never through add().
+StepFunction folded(std::initializer_list<Segment> pieces) {
+  StepFunction f;
+  for (const Segment& p : pieces) f = f.plus(StepFunction(p.interval, p.value));
+  return f;
+}
+
+TEST(StepFunctionSplice, CoalescesWithAnEqualLeftNeighbour) {
+  StepFunction f = folded({{TimeInterval(0, 4), 2}, {TimeInterval(4, 8), 5}});
+  f.add(TimeInterval(4, 8), -3);
+  EXPECT_EQ(f.to_string(), "2@[0, 8)");
+}
+
+TEST(StepFunctionSplice, CoalescesWithAnEqualRightNeighbour) {
+  StepFunction f = folded({{TimeInterval(0, 4), 5}, {TimeInterval(4, 8), 2}});
+  f.add(TimeInterval(0, 4), -3);
+  EXPECT_EQ(f.to_string(), "2@[0, 8)");
+}
+
+TEST(StepFunctionSplice, CoalescesWithBothNeighboursInsideALongProfile) {
+  StepFunction f = folded({{TimeInterval(-10, -8), 7},
+                           {TimeInterval(0, 2), 2},
+                           {TimeInterval(2, 4), 5},
+                           {TimeInterval(4, 6), 2},
+                           {TimeInterval(10, 12), 9}});
+  f.add(TimeInterval(2, 4), -3);
+  EXPECT_EQ(f.to_string(), "7@[-10, -8) + 2@[0, 6) + 9@[10, 12)");
+}
+
+TEST(StepFunctionSplice, TouchingTermsJoinTheFrontAndTheBack) {
+  StepFunction f(TimeInterval(4, 8), 2);
+  f.add(TimeInterval(8, 10), 2);  // pure append, coalesced into the back
+  f.add(TimeInterval(0, 4), 2);   // touches the front
+  EXPECT_EQ(f.to_string(), "2@[0, 10)");
+}
+
+TEST(StepFunctionSplice, ExactCancellationLeavesAGapThenTheZeroFunction) {
+  StepFunction f = folded(
+      {{TimeInterval(0, 4), 3}, {TimeInterval(4, 8), 5}, {TimeInterval(8, 12), 3}});
+  f.add(TimeInterval(4, 8), -5);
+  EXPECT_EQ(f.to_string(), "3@[0, 4) + 3@[8, 12)");
+  f.add(TimeInterval(8, 12), -3);
+  EXPECT_EQ(f.to_string(), "3@[0, 4)");
+  f.add(TimeInterval(0, 4), -3);
+  EXPECT_TRUE(f.is_zero());
+  EXPECT_TRUE(f.segments().empty());
+}
+
+TEST(StepFunctionSplice, NegativeRatesSplitAndRejoin) {
+  StepFunction f;
+  f.add(TimeInterval(0, 10), -2);
+  f.add(TimeInterval(3, 5), 4);
+  EXPECT_EQ(f.to_string(), "-2@[0, 3) + 2@[3, 5) + -2@[5, 10)");
+  f.add(TimeInterval(3, 5), -4);
+  EXPECT_EQ(f.to_string(), "-2@[0, 10)");
+}
+
+TEST(StepFunctionSplice, TermsInAGapBeforeTheFirstAndAfterTheLast) {
+  StepFunction f = folded({{TimeInterval(0, 2), 1}, {TimeInterval(10, 12), 1}});
+  f.add(TimeInterval(4, 6), 3);
+  EXPECT_EQ(f.to_string(), "1@[0, 2) + 3@[4, 6) + 1@[10, 12)");
+  f.add(TimeInterval(-5, -3), 4);
+  EXPECT_EQ(f.to_string(), "4@[-5, -3) + 1@[0, 2) + 3@[4, 6) + 1@[10, 12)");
+  f.add(TimeInterval(20, 22), 6);
+  EXPECT_EQ(f.to_string(),
+            "4@[-5, -3) + 1@[0, 2) + 3@[4, 6) + 1@[10, 12) + 6@[20, 22)");
+}
+
+TEST(StepFunctionSplice, TermCoveringEverything) {
+  const StepFunction base = folded(
+      {{TimeInterval(0, 2), 1}, {TimeInterval(2, 5), -3}, {TimeInterval(9, 12), 4}});
+  StepFunction f = base;
+  f.add(TimeInterval(-100, 100), 3);
+  EXPECT_EQ(f, base.plus(StepFunction(TimeInterval(-100, 100), 3)));
+  EXPECT_EQ(f.to_string(), "3@[-100, 0) + 4@[0, 2) + 3@[5, 9) + 7@[9, 12) + 3@[12, 100)");
+  EXPECT_EQ(fuzz::check_canonical(f), std::nullopt);
+}
+
+TEST(StepFunctionSplice, EmptyAndZeroUpdatesAreNoOps) {
+  const StepFunction base = folded({{TimeInterval(0, 4), 3}, {TimeInterval(6, 9), 1}});
+  StepFunction f = base;
+  f.add(StepFunction());
+  f.add(StepFunction(TimeInterval(2, 2), 5));
+  f.add(TimeInterval(1, 7), 0);
+  f.add(TimeInterval(), 4);
+  EXPECT_EQ(f, base);
+  StepFunction zero;
+  zero.add(StepFunction());
+  zero.add(TimeInterval(3, 3), 1);
+  EXPECT_TRUE(zero.is_zero());
+}
+
+TEST(StepFunctionSplice, AddingAProfileToItselfDoublesIt) {
+  const StepFunction base = folded({{TimeInterval(0, 4), 3}, {TimeInterval(6, 9), -1}});
+  StepFunction f = base;
+  f.add(f);
+  EXPECT_EQ(f, base.plus(base));
+}
+
+// In-place adds of N random terms, and of random multi-segment profiles,
+// equal the fold of plus() and stay canonical after every step.
+class StepFunctionSpliceProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StepFunctionSpliceProperty, InPlaceAddEqualsTheFoldOfPlus) {
+  util::Rng rng(GetParam());
+  StepFunction in_place, fold;
+  const int terms = static_cast<int>(rng.uniform(1, 160));
+  for (int i = 0; i < terms; ++i) {
+    const Tick start = rng.uniform(-40, 200);
+    const TimeInterval iv(start, start + rng.uniform(0, 24));
+    const Rate rate = rng.uniform(-6, 6);
+    in_place.add(iv, rate);
+    fold = fold.plus(StepFunction(iv, rate));
+    ASSERT_EQ(in_place, fold) << "after term " << i << " " << iv.to_string() << "@" << rate;
+    ASSERT_EQ(fuzz::check_canonical(in_place), std::nullopt) << "after term " << i;
+  }
+  fuzz::Gen gen(GetParam());
+  for (int i = 0; i < 8; ++i) {
+    const StepFunction update = gen.step_function(6, true).first.shifted(rng.uniform(-40, 200));
+    in_place.add(update);
+    fold = fold.plus(update);
+    ASSERT_EQ(in_place, fold) << "after profile " << i << " " << update.to_string();
+    ASSERT_EQ(fuzz::check_canonical(in_place), std::nullopt) << "after profile " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StepFunctionSpliceProperty,
+                         ::testing::Range<std::uint64_t>(1, 65));
 
 }  // namespace
 }  // namespace rota
