@@ -1,24 +1,26 @@
-// E18: symbolic feasibility vs the brute-force explorer.
+// E18: symbolic feasibility vs a brute-force static-order sweep.
 //
 // Two sections, one artifact (BENCH_feasibility.json; pass a path as argv[1]
 // to redirect):
 //
 //   parity  — the feasibility differential-oracle family at a pinned seed:
-//     the symbolic cut-point engine and the permutation explorer decide the
-//     same randomized multi-actor instances, with witness replay and (on
-//     tiny instances) a bounded exhaustive adjudicator. Any divergence is
-//     fatal (exit 1) and printed as a reproduction recipe. The committed
-//     artifact runs >= 600 cases; --smoke shrinks that to 120 for CI.
+//     the symbolic cut-point engine, search_feasible's ladder and the fuzz
+//     harness's static-order sweep decide the same randomized multi-actor
+//     instances, with witness replay and (on tiny instances) a bounded
+//     exhaustive adjudicator. Any divergence is fatal (exit 1) and printed
+//     as a reproduction recipe. The committed artifact runs >= 600 cases;
+//     --smoke shrinks that to 120 for CI.
 //
 //   scaling — the drip/hog family (one uncapped hog ranked first, n-1
 //     zero-slack capped drips: every greedy order fails) at n = 2..10
-//     commitments. The permutation sweep needs ~n! greedy runs and refuses
-//     outright above its ceiling (max_permuted = 6); the symbolic engine
-//     decides every size with a single polynomial flow check (single-phase
-//     instances spend zero DFS nodes). Each row records both engines' wall
-//     time, the sweep's deterministic explorer_permutations count, and the
-//     verdicts — rows above the ceiling must show the symbolic engine
-//     deciding what the sweep refused, which is the point of the engine.
+//     commitments. The sweep (fuzz::static_order_sweep) needs ~n! greedy
+//     runs and refuses outright above its ceiling (fuzz::kMaxSweepActors =
+//     6); the symbolic engine decides every size with a single polynomial
+//     flow check (single-phase instances spend zero DFS nodes). Each row
+//     records both engines' wall time, the sweep's deterministic count of
+//     orders tried, and the verdicts — rows above the ceiling must show the
+//     symbolic engine deciding what the sweep refused, which is the point of
+//     the engine.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -33,10 +35,9 @@
 #endif
 
 #include "rota/computation/requirement.hpp"
+#include "rota/fuzz/exhaustive.hpp"
 #include "rota/fuzz/oracles.hpp"
-#include "rota/logic/explorer.hpp"
 #include "rota/logic/symbolic/feasibility.hpp"
-#include "rota/obs/obs.hpp"
 
 namespace {
 
@@ -64,9 +65,13 @@ double now_seconds() {
 /// Hog-first drip/hog instance (mirrors tests/test_symbolic.cpp): supply
 /// n/tick over [0, 12); one uncapped hog wanting 12, n-1 drips wanting 12 at
 /// cap 1 (zero slack). Feasible only when every drip outranks the hog, and
-/// all greedy orders tie into index order, so the ladder always reaches the
-/// engine under test.
-SystemState drip_hog_state(std::size_t n) {
+/// all greedy orders tie into index order, so no greedy order finds it.
+struct DripHog {
+  ResourceSet supply;
+  std::vector<ComplexRequirement> actors;
+};
+
+DripHog drip_hog(std::size_t n) {
   const Location site("e18");
   const LocatedType cpu = LocatedType::cpu(site);
   const TimeInterval w(0, 12);
@@ -84,9 +89,7 @@ SystemState drip_hog_state(std::size_t n) {
   }
   ResourceSet supply;
   supply.add(static_cast<Rate>(n), w, cpu);
-  SystemState s(supply, 0);
-  s.accommodate(ConcurrentRequirement("dh", std::move(actors), w));
-  return s;
+  return DripHog{std::move(supply), std::move(actors)};
 }
 
 struct ScalingRow {
@@ -95,15 +98,18 @@ struct ScalingRow {
   double symbolic_us = 0.0;
   std::uint64_t symbolic_nodes = 0;
   std::uint64_t symbolic_flow_checks = 0;
-  std::string explorer;  // "path" | "refused" | "exhausted"
+  std::string explorer;  // sweep outcome: "path" | "refused" | "exhausted"
   double explorer_us = 0.0;
-  std::uint64_t explorer_permutations = 0;
+  std::size_t sweep_permutations = 0;
 };
 
 constexpr int kTrials = 3;
 
-ScalingRow bench_size(std::size_t n, std::size_t sweep_ceiling) {
-  const SystemState start = drip_hog_state(n);
+ScalingRow bench_size(std::size_t n) {
+  const DripHog instance = drip_hog(n);
+  SystemState start(instance.supply, 0);
+  start.accommodate(
+      ConcurrentRequirement("dh", instance.actors, TimeInterval(0, 12)));
   ScalingRow row;
   row.commitments = n;
 
@@ -119,26 +125,16 @@ ScalingRow bench_size(std::size_t n, std::size_t sweep_ceiling) {
   row.symbolic_nodes = sym.stats.nodes;
   row.symbolic_flow_checks = sym.stats.flow_checks;
 
-  SearchOptions sweep;
-  sweep.engine = FeasibilityEngine::kExplorer;
-  obs::enable_metrics(true);
-  auto& metrics = obs::CoreMetrics::get();
-  std::optional<ComputationPath> path;
+  std::optional<fuzz::SweepResult> sweep;
   best = 1e100;
-  std::uint64_t perms = 0;
   for (int t = 0; t < kTrials; ++t) {
-    const std::uint64_t before = metrics.explorer_permutations.value();
     const double t0 = now_seconds();
-    path = search_feasible(start, 12, sweep);
+    sweep = fuzz::static_order_sweep(instance.supply, instance.actors, 12);
     best = std::min(best, now_seconds() - t0);
-    perms = metrics.explorer_permutations.value() - before;
   }
-  obs::enable_metrics(false);
   row.explorer_us = best * 1e6;
-  row.explorer_permutations = perms;
-  row.explorer = path.has_value() ? "path"
-                 : n > sweep_ceiling ? "refused"
-                                     : "exhausted";
+  row.sweep_permutations = sweep ? sweep->permutations : 0;
+  row.explorer = !sweep ? "refused" : sweep->path ? "path" : "exhausted";
   return row;
 }
 
@@ -164,7 +160,7 @@ bool write_json(const std::string& path, bool smoke,
         << ", \"symbolic_flow_checks\": " << r.symbolic_flow_checks
         << ", \"explorer\": \"" << r.explorer
         << "\", \"explorer_us\": " << r.explorer_us
-        << ", \"explorer_permutations\": " << r.explorer_permutations << "}"
+        << ", \"explorer_permutations\": " << r.sweep_permutations << "}"
         << (i + 1 < scaling.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -174,7 +170,7 @@ bool write_json(const std::string& path, bool smoke,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::cout << "== E18: symbolic feasibility vs brute-force explorer ==\n\n";
+  std::cout << "== E18: symbolic feasibility vs brute-force static-order sweep ==\n\n";
   std::string json_path = "BENCH_feasibility.json";
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
@@ -201,16 +197,16 @@ int main(int argc, char** argv) {
   }
 
   // Section 2: time vs commitment count on the drip/hog family.
-  const std::size_t sweep_ceiling = SearchOptions{}.max_permuted;
+  const std::size_t sweep_ceiling = fuzz::kMaxSweepActors;
   const std::size_t max_n = smoke ? 8 : 10;
   std::vector<ScalingRow> scaling;
   std::cout << "\ncommitments   symbolic        sweep           permutations\n";
   for (std::size_t n = 2; n <= max_n; ++n) {
-    const ScalingRow row = bench_size(n, sweep_ceiling);
+    const ScalingRow row = bench_size(n);
     std::printf("%11zu   %-8s %5.0fus  %-9s %7.0fus  %10llu\n", n,
                 row.symbolic_verdict.c_str(), row.symbolic_us,
                 row.explorer.c_str(), row.explorer_us,
-                static_cast<unsigned long long>(row.explorer_permutations));
+                static_cast<unsigned long long>(row.sweep_permutations));
     // The whole family is feasible and single-phase: the symbolic engine
     // must decide every size without spending a DFS node, and above the
     // sweep ceiling it must decide what the sweep refused.

@@ -51,7 +51,10 @@ e18_feasibility — fails (exit 1) when:
   * any scaling row's symbolic verdict is not "feasible" (the drip/hog
     family is feasible at every size and must be flat-decided), or a row
     above the sweep ceiling was not decided-by-symbolic-while-refused-by-
-    sweep — the capability the bench exists to pin.
+    sweep — the capability the bench exists to pin;
+  * a scaling row's deterministic fields (symbolic nodes and flow checks,
+    sweep outcome and permutations tried) differ from the baseline row of
+    the same commitment count.
   (Wall-clock numbers are recorded for trend reading but never gated: the
   symbolic side is a single flow check whose absolute time is host noise.)
 
@@ -106,6 +109,10 @@ def max_lane_rps(doc, role):
     return lanes, float(batches[lanes]["requests_per_sec"])
 
 
+E18_DETERMINISTIC_FIELDS = ("symbolic_nodes", "symbolic_flow_checks",
+                            "explorer", "explorer_permutations")
+
+
 def gate_e18(base, cand):
     failures = []
 
@@ -144,6 +151,22 @@ def gate_e18(base, cand):
         failures.append(
             f"no scaling row exceeds the sweep ceiling ({ceiling}) — the "
             "decided-above-ceiling capability went unchecked")
+
+    # The deterministic row fields must match the baseline wherever both
+    # artifacts ran the same size (a smoke run stops at n = 8).
+    base_rows = {int(r.get("commitments", 0)): r
+                 for r in base.get("scaling", [])}
+    for r in rows:
+        n = int(r.get("commitments", 0))
+        if n not in base_rows:
+            continue
+        for field in E18_DETERMINISTIC_FIELDS:
+            if field not in base_rows[n]:
+                print(f"baseline row n={n} lacks '{field}'; not compared")
+            elif r.get(field) != base_rows[n][field]:
+                failures.append(
+                    f"scaling row n={n}: {field} {r.get(field)!r} differs "
+                    f"from baseline {base_rows[n][field]!r}")
     return failures
 
 

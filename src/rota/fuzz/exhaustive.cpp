@@ -1,8 +1,11 @@
 #include "rota/fuzz/exhaustive.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
+
+#include "rota/logic/explorer.hpp"
 
 namespace rota::fuzz {
 
@@ -161,6 +164,32 @@ bool feasible(Ctx& ctx, const SystemState& s) {
 }
 
 }  // namespace
+
+std::optional<SweepResult> static_order_sweep(
+    const ResourceSet& supply, const std::vector<ComplexRequirement>& actors,
+    Tick horizon) {
+  if (actors.size() > kMaxSweepActors) return std::nullopt;
+  SweepResult result;
+  std::vector<std::size_t> order(actors.size());
+  std::iota(order.begin(), order.end(), 0);
+  do {
+    ++result.permutations;
+    std::vector<ComplexRequirement> ranked;
+    ranked.reserve(order.size());
+    for (const std::size_t i : order) ranked.push_back(actors[i]);
+    SystemState start(supply, 0);
+    if (!ranked.empty()) {
+      start.accommodate(ConcurrentRequirement("sweep", std::move(ranked),
+                                              TimeInterval(0, horizon)));
+    }
+    RunResult run = run_greedy(std::move(start), horizon, PriorityOrder::kFcfs);
+    if (run.all_met) {
+      result.path = std::move(run.path);
+      break;
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+  return result;
+}
 
 std::optional<bool> exhaustive_feasible(const SystemState& start, Tick horizon,
                                         std::uint64_t node_budget) {

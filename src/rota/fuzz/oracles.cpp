@@ -1073,7 +1073,7 @@ void sim_case(Gen& g, std::size_t case_index, Recorder& rec) {
   }
   if (any_greedy_met) {
     rec.expect("greedy-implies-search",
-               search_feasible(start, horizon, 4).has_value(), [&] {
+               search_feasible(start, horizon).has_value(), [&] {
                  return std::string(
                      "a greedy order meets every deadline but search_feasible "
                      "finds nothing");
@@ -1130,7 +1130,7 @@ void sim_case(Gen& g, std::size_t case_index, Recorder& rec) {
       const ComplexRequirement clipped_actor(actor.actor(), actor.phases(),
                                              clipped, actor.rate_cap());
       brute.accommodate(ConcurrentRequirement("bf", {clipped_actor}, clipped));
-      const bool want = search_feasible(brute, clipped.end(), 3).has_value();
+      const bool want = search_feasible(brute, clipped.end()).has_value();
       rec.expect("satisfy-complex-vs-search", got == want, [&] {
         return bool_pair("satisfy(complex)", got, want) + "; actor = " +
                actor.to_string() + " at position " + std::to_string(pos);
@@ -1610,7 +1610,7 @@ OracleReport run_cluster_oracle(std::uint64_t seed, std::size_t cases) {
 }
 
 // ===========================================================================
-// Feasibility oracle — symbolic engine vs permutation explorer
+// Feasibility oracle — symbolic engine vs static-order sweep
 // ===========================================================================
 
 namespace {
@@ -1645,10 +1645,10 @@ std::string describe_draw(const FeasibilityDraw& draw) {
   return out.str();
 }
 
-/// Windows W ∈ [3, 9], 1–2 located types, modest rates: small enough that
-/// the permutation explorer is an exact-for-practical-purposes adversary and
-/// the exhaustive referee can adjudicate the tiniest instances, rich enough
-/// (staggered windows, supply steps, rate caps, two phases) to exercise every
+/// Windows W ∈ [3, 9], 1–3 actors, 1–2 located types, modest rates: small
+/// enough that the static-order sweep never refuses and the exhaustive
+/// referee can adjudicate the tiniest instances, rich enough (staggered
+/// windows, supply steps, rate caps, two phases) to exercise every
 /// constraint family of the encoding.
 FeasibilityDraw draw_feasibility_instance(Gen& g) {
   FeasibilityDraw draw;
@@ -1706,14 +1706,29 @@ bool sweep_exact_domain(const FeasibilityDraw& draw) {
   return true;
 }
 
+/// True iff some static priority order meets every deadline (the draws stay
+/// under the sweep's actor ceiling, so it never refuses).
+bool sweep_finds_path(const FeasibilityDraw& draw) {
+  const auto sweep = static_order_sweep(draw.supply, draw.actors, draw.horizon);
+  return sweep && sweep->path.has_value();
+}
+
+/// Every commitment of the path's final state finished by its deadline.
+bool meets_deadlines(const ComputationPath& path) {
+  for (const ActorProgress& p : path.back().commitments()) {
+    if (!p.finished() || *p.finished_at > p.window.end()) return false;
+  }
+  return true;
+}
+
 struct EngineVerdicts {
   FeasibilityVerdict symbolic = FeasibilityVerdict::kUnknown;
-  bool explorer = false;
+  bool sweep = false;  // some static order met every deadline
   bool sweep_exact = true;
 
   /// A *contradiction* between the engines, not a mere difference. The
-  /// permutation sweep enumerates static priority orders, so it can miss
-  /// feasible instances outside its exact domain: multi-phase schedules that
+  /// sweep enumerates static priority orders, so it can miss feasible
+  /// instances outside its exact domain: multi-phase schedules that
   /// throttle a leading actor below its water-fill share, and rate-capped
   /// schedules that switch priority between ticks — the fuzz harness found
   /// live instances of both, and the symbolic witnesses replayed. What may
@@ -1723,8 +1738,8 @@ struct EngineVerdicts {
   bool disagree() const {
     if (symbolic == FeasibilityVerdict::kUnknown) return false;
     const bool sym_feasible = symbolic == FeasibilityVerdict::kFeasible;
-    if (explorer && !sym_feasible) return true;
-    return sweep_exact && sym_feasible != explorer;
+    if (sweep && !sym_feasible) return true;
+    return sweep_exact && sym_feasible != sweep;
   }
 };
 
@@ -1733,9 +1748,7 @@ EngineVerdicts decide_both(const FeasibilityDraw& draw,
   EngineVerdicts v;
   const SystemState state = materialize(draw);
   v.symbolic = decide_feasibility(state, draw.horizon, options).verdict;
-  SearchOptions sweep;
-  sweep.engine = FeasibilityEngine::kExplorer;
-  v.explorer = search_feasible(state, draw.horizon, sweep).has_value();
+  v.sweep = sweep_finds_path(draw);
   v.sweep_exact = sweep_exact_domain(draw);
   return v;
 }
@@ -1816,7 +1829,31 @@ void feasibility_case(Gen& g, Recorder& rec) {
                });
   }
 
-  // The permutation explorer independently decides the same instance. A path
+  // The production ladder — greedy orders, then the engine under default
+  // options — must be exact wherever that engine decides, and every path it
+  // returns must meet every deadline.
+  {
+    const FeasibilityVerdict verdict =
+        decide_feasibility(state, draw.horizon).verdict;
+    const auto laddered = search_feasible(state, draw.horizon);
+    if (verdict != FeasibilityVerdict::kUnknown) {
+      rec.expect("ladder-exact",
+                 laddered.has_value() == (verdict == FeasibilityVerdict::kFeasible),
+                 [&] {
+                   return bool_pair("feasible", laddered.has_value(),
+                                    verdict == FeasibilityVerdict::kFeasible) +
+                          "; instance: " + describe_draw(draw);
+                 });
+    }
+    if (laddered) {
+      rec.expect("ladder-exact", meets_deadlines(*laddered), [&] {
+        return "search_feasible returned a path that misses a deadline: " +
+               describe_draw(draw);
+      });
+    }
+  }
+
+  // The static-order sweep independently decides the same instance. A path
   // from the sweep is a constructive proof, so the symbolic engine may never
   // contradict it; and inside the sweep's exact domain (single-phase,
   // uncapped) the two must agree outright. Outside it,
@@ -1826,18 +1863,16 @@ void feasibility_case(Gen& g, Recorder& rec) {
   // way rate-capped schedules can require — and the witness-replays check
   // above already proved such verdicts constructively. Divergences are
   // minimized before reporting.
-  SearchOptions sweep;
-  sweep.engine = FeasibilityEngine::kExplorer;
-  const bool explored = search_feasible(state, draw.horizon, sweep).has_value();
-  rec.expect("explorer-refutes-symbolic", !explored || sym.feasible(), [&] {
+  const bool swept = sweep_finds_path(draw);
+  rec.expect("sweep-refutes-symbolic", !swept || sym.feasible(), [&] {
     const FeasibilityDraw minimal = minimize_divergence(draw, options);
-    return bool_pair("feasible", sym.feasible(), explored) +
+    return bool_pair("feasible", sym.feasible(), swept) +
            "; minimized instance: " + describe_draw(minimal);
   });
   if (sweep_exact_domain(draw)) {
-    rec.expect("static-sweep-parity", sym.feasible() == explored, [&] {
+    rec.expect("static-sweep-parity", sym.feasible() == swept, [&] {
       const FeasibilityDraw minimal = minimize_divergence(draw, options);
-      return bool_pair("feasible", sym.feasible(), explored) +
+      return bool_pair("feasible", sym.feasible(), swept) +
              "; minimized instance: " + describe_draw(minimal);
     });
   }
@@ -1855,11 +1890,11 @@ void feasibility_case(Gen& g, Recorder& rec) {
       // feasibility, but the sweep may refuse feasible instances outside its
       // exact domain. Inside it (single-phase, uncapped) the sweep is held
       // to full agreement with the exhaustive scheduler.
-      const bool sweep_sound = !explored || *exact;
-      rec.expect("explorer-vs-exhaustive",
-                 sweep_exact_domain(draw) ? explored == *exact : sweep_sound,
+      const bool sweep_sound = !swept || *exact;
+      rec.expect("sweep-vs-exhaustive",
+                 sweep_exact_domain(draw) ? swept == *exact : sweep_sound,
                  [&] {
-                   return bool_pair("feasible", explored, *exact) +
+                   return bool_pair("feasible", swept, *exact) +
                           "; instance: " + describe_draw(draw);
                  });
     }

@@ -24,12 +24,14 @@
 //     surviving placements re-executed through the plan-following Simulator
 //     (report invariants validated); and the `fault` DSL round trip.
 //   feasibility — the percy two-synthesizer pattern: the symbolic cut-point
-//     engine and the permutation explorer independently decide the same
-//     small-window multi-actor instances. A sweep path may never contradict
-//     a symbolic kInfeasible, instances in the sweep's exact domain
-//     (single-phase, uncapped) must agree outright, every kFeasible witness
-//     must replay through the transition rules, and on tiny instances a
-//     bounded exhaustive tick-level scheduler adjudicates. (Full two-sided
+//     engine and a static-order sweep (fuzz/exhaustive.hpp) independently
+//     decide the same small-window multi-actor instances. A sweep path may
+//     never contradict a symbolic kInfeasible, instances in the sweep's
+//     exact domain (single-phase, uncapped) must agree outright, every
+//     kFeasible witness must replay through the transition rules,
+//     search_feasible must match every decided verdict with a
+//     deadline-meeting path (ladder-exact), and on tiny instances a bounded
+//     exhaustive tick-level scheduler adjudicates. (Full two-sided
 //     parity is deliberately *not* demanded outside that domain: static
 //     priority orders cannot throttle a multi-phase leader below its
 //     water-fill share, nor switch priority between ticks the way

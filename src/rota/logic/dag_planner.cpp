@@ -10,7 +10,7 @@ std::map<LocatedType, StepFunction> InteractingPlan::total_usage() const {
   for (const auto& seg : segments) {
     for (const auto& [type, f] : seg.usage) {
       auto [it, inserted] = out.emplace(type, f);
-      if (!inserted) it->second = it->second.plus(f);
+      if (!inserted) it->second.add(f);
     }
   }
   return out;

@@ -1,15 +1,12 @@
 #include "rota/logic/explorer.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
+#include "rota/logic/symbolic/feasibility.hpp"
 #include "rota/obs/obs.hpp"
-#include "rota/runtime/thread_pool.hpp"
 
 namespace rota {
 
@@ -95,30 +92,19 @@ const std::vector<ConsumptionLabel>& greedy_labels(const SystemState& state,
   return scratch.labels;
 }
 
-/// `metered` suppresses the per-run greedy counter for permutation-sweep
-/// probes (the sweep accounts for its runs deterministically afterwards, so
-/// sequential and parallel sweeps report identical counts). `cancelled` is
-/// polled every tick; once it fires the run abandons with all_met = false —
-/// an abandoned run can never be mistaken for a witness.
-RunResult run_with_ranking(SystemState start, Tick horizon,
-                           const std::optional<std::vector<std::size_t>>& fixed_ranking,
-                           PriorityOrder order, bool metered = true,
-                           const std::function<bool()>& cancelled = {}) {
+}  // namespace
+
+RunResult run_greedy(SystemState start, Tick horizon, PriorityOrder order) {
   ROTA_OBS_SPAN("explorer.run");
-  if (metered && obs::metrics_enabled()) {
+  if (obs::metrics_enabled()) {
     obs::CoreMetrics::get().explorer_greedy_runs.add();
   }
   ComputationPath path(std::move(start));
   TickScratch scratch;
   std::map<LocatedType, Rate> capacity_left;  // water-fill scratch
   while (!path.back().all_finished() && path.back().now() < horizon) {
-    if (cancelled && cancelled()) {
-      const Tick abandoned_at = path.back().now();
-      return RunResult{std::move(path), false, abandoned_at};
-    }
-    const std::vector<std::size_t> ranked =
-        fixed_ranking ? *fixed_ranking : ranked_commitments(path.back(), order);
-    if (!fixed_ranking && order == PriorityOrder::kProportional) {
+    const std::vector<std::size_t> ranked = ranked_commitments(path.back(), order);
+    if (order == PriorityOrder::kProportional) {
       capacity_left.clear();
       path.apply(TickStep{water_fill_labels(path.back(), ranked, capacity_left)});
     } else {
@@ -139,12 +125,6 @@ RunResult run_with_ranking(SystemState start, Tick horizon,
   }
   if (tip.commitments().empty()) result.all_met = true;
   return result;
-}
-
-}  // namespace
-
-RunResult run_greedy(SystemState start, Tick horizon, PriorityOrder order) {
-  return run_with_ranking(std::move(start), horizon, std::nullopt, order);
 }
 
 std::vector<ConsumptionLabel> water_fill_labels(
@@ -210,110 +190,18 @@ std::vector<ConsumptionLabel> water_fill_labels(
   return labels;
 }
 
-namespace {
-
-/// Permutation sweep over static priority rankings. Sequential and parallel
-/// sweeps return the identical path (lexicographically first feasible
-/// permutation) and report identical counter values: `explorer_permutations`
-/// and `explorer_greedy_runs` both advance by the number of runs the
-/// *sequential* sweep would execute — winner index + 1, or the full
-/// factorial on failure.
-std::optional<ComputationPath> permutation_sweep(const SystemState& start,
-                                                 Tick horizon, ThreadPool* pool) {
-  std::vector<std::size_t> perm(start.commitments().size());
-  std::iota(perm.begin(), perm.end(), 0);
-
-  auto account = [](std::size_t runs) {
-    if (!obs::metrics_enabled()) return;
-    obs::count(obs::CoreMetrics::get().explorer_permutations, runs);
-    obs::count(obs::CoreMetrics::get().explorer_greedy_runs, runs);
-  };
-
-  if (pool == nullptr || pool->concurrency() <= 1) {
-    std::size_t tried = 0;
-    do {
-      ++tried;
-      RunResult r = run_with_ranking(start, horizon, perm, PriorityOrder::kFcfs,
-                                     /*metered=*/false);
-      if (r.all_met) {
-        account(tried);
-        return std::move(r.path);
-      }
-    } while (std::next_permutation(perm.begin(), perm.end()));
-    account(tried);
-    return std::nullopt;
-  }
-
-  // Parallel sweep: race the lanes over the materialized permutations,
-  // keeping the smallest feasible index so the winner is the permutation the
-  // sequential sweep would have returned. Lanes poll `best` every tick and
-  // abandon once a smaller index has already won — the smallest feasible
-  // index can never be cancelled (only smaller feasible indices cancel, and
-  // there are none), and an abandoned run reports all_met = false, so the
-  // race cannot change the result.
-  std::vector<std::vector<std::size_t>> perms;
-  do {
-    perms.push_back(perm);
-  } while (std::next_permutation(perm.begin(), perm.end()));
-
-  std::atomic<std::size_t> best{perms.size()};
-  std::mutex winner_mutex;
-  std::optional<RunResult> winner;
-  pool->parallel_for(perms.size(), [&](std::size_t i) {
-    const auto beaten = [&] { return i >= best.load(std::memory_order_relaxed); };
-    if (beaten()) return;
-    RunResult r = run_with_ranking(start, horizon, perms[i], PriorityOrder::kFcfs,
-                                   /*metered=*/false, beaten);
-    if (!r.all_met) return;
-    std::scoped_lock lock(winner_mutex);
-    if (i < best.load(std::memory_order_relaxed)) {
-      best.store(i, std::memory_order_relaxed);
-      winner = std::move(r);
-    }
-  });
-  const std::size_t best_idx = best.load();
-  account(best_idx < perms.size() ? best_idx + 1 : perms.size());
-  if (!winner) return std::nullopt;
-  return std::move(winner->path);
-}
-
-}  // namespace
-
-std::optional<ComputationPath> search_feasible(const SystemState& start, Tick horizon,
-                                               const SearchOptions& options) {
+std::optional<ComputationPath> search_feasible(const SystemState& start, Tick horizon) {
   ROTA_OBS_SPAN("explorer.search_feasible");
   for (PriorityOrder order :
        {PriorityOrder::kEdf, PriorityOrder::kLeastLaxity, PriorityOrder::kFcfs}) {
     RunResult r = run_greedy(start, horizon, order);
     if (r.all_met) return std::move(r.path);
   }
-  if (options.engine == FeasibilityEngine::kGreedy) return std::nullopt;
-
-  if (options.engine == FeasibilityEngine::kAuto ||
-      options.engine == FeasibilityEngine::kSymbolic) {
-    const FeasibilityResult sym =
-        decide_feasibility(start, horizon, options.symbolic);
-    if (sym.verdict == FeasibilityVerdict::kInfeasible) return std::nullopt;
-    if (sym.feasible()) {
-      if (auto path = realize_feasibility(start, sym)) return path;
-      // A witness that fails to replay would be an engine bug (the fuzz
-      // harness pins exactly this); treat it as undecided rather than
-      // mis-report either verdict.
-    }
-    if (options.engine == FeasibilityEngine::kSymbolic) return std::nullopt;
-  }
-
-  if (start.commitments().size() > options.max_permuted) return std::nullopt;
-  return permutation_sweep(start, horizon, options.pool);
-}
-
-std::optional<ComputationPath> search_feasible(const SystemState& start, Tick horizon,
-                                               std::size_t max_permuted,
-                                               ThreadPool* pool) {
-  SearchOptions options;
-  options.max_permuted = max_permuted;
-  options.pool = pool;
-  return search_feasible(start, horizon, options);
+  const FeasibilityResult sym = decide_feasibility(start, horizon);
+  if (!sym.feasible()) return std::nullopt;
+  // A witness that fails to replay would be an engine bug (the fuzz harness
+  // pins exactly this); realize_feasibility reports it as nullopt.
+  return realize_feasibility(start, sym);
 }
 
 }  // namespace rota

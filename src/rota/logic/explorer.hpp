@@ -3,21 +3,19 @@
 // Definition 2's tree of all possible evolutions is far too large to build;
 // what the theorems need is (a) witness paths — produced by running a
 // priority-ordered maximal-consumption schedule through the transition rules
-// — and (b) for small instances, a search over schedules that tries many
-// priority orders, used to probe how much completeness the greedy witness
-// generator gives up.
+// — and (b) an exact feasibility decision with a witness: search_feasible
+// climbs one ladder, cheap greedy orders first, then the symbolic cut-point
+// engine (rota/logic/symbolic/feasibility.hpp).
 #pragma once
 
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "rota/logic/path.hpp"
-#include "rota/logic/symbolic/feasibility.hpp"
 
 namespace rota {
-
-class ThreadPool;  // rota/runtime/thread_pool.hpp
 
 /// How contended supply is ordered among unfinished commitments each tick.
 enum class PriorityOrder {
@@ -52,31 +50,10 @@ std::vector<ConsumptionLabel> water_fill_labels(
     const SystemState& state, const std::vector<std::size_t>& participants,
     std::map<LocatedType, Rate>& capacity_left);
 
-/// Knobs for search_feasible: which feasibility ladder to climb and how far
-/// the permutation rung may go.
-struct SearchOptions {
-  /// Permutation-sweep ceiling: above this many commitments the sweep rung
-  /// refuses (factorial blowup). The symbolic rung has no such ceiling.
-  std::size_t max_permuted = 6;
-  /// Lanes for the permutation sweep; nullptr runs it sequentially. Either
-  /// way the result is deterministic — the lexicographically first feasible
-  /// permutation wins and `explorer_permutations` counts the same number of
-  /// sweep runs.
-  ThreadPool* pool = nullptr;
-  FeasibilityEngine engine = FeasibilityEngine::kAuto;
-  FeasibilityOptions symbolic;
-};
-
-/// Tries the three greedy priority orders, then climbs the ladder selected by
-/// `options.engine`: the symbolic cut-point engine (exact; no commitment
-/// ceiling) and/or the static-permutation sweep. Returns a deadline-meeting
-/// path if the selected rungs find one.
-std::optional<ComputationPath> search_feasible(const SystemState& start, Tick horizon,
-                                               const SearchOptions& options);
-
-/// Ladder with defaults (kAuto): greedy → symbolic → permutation fallback.
-std::optional<ComputationPath> search_feasible(const SystemState& start, Tick horizon,
-                                               std::size_t max_permuted = 6,
-                                               ThreadPool* pool = nullptr);
+/// The feasibility ladder: the EDF, least-laxity and FCFS greedy orders,
+/// then the symbolic cut-point engine under its default options. Returns a
+/// deadline-meeting path, or nullopt when the instance is infeasible or the
+/// engine could not decide it (kUnknown: not shown feasible).
+std::optional<ComputationPath> search_feasible(const SystemState& start, Tick horizon);
 
 }  // namespace rota

@@ -65,24 +65,13 @@ bool ModelChecker::satisfies(const Formula& psi, std::size_t position) const {
             const ConcurrentRequirement clipped_req(s.rho.name(),
                                                     std::move(clipped_actors), clipped);
             if (plan_concurrent(expiring, clipped_req, policy_)) return true;
-            if (engine_ == FeasibilityEngine::kGreedy) return false;
             // The sequential planner plans actors one at a time and is
             // order-sensitive, so its rejection of a contended multi-actor
-            // instance may be spurious; climb the selected exact ladder
-            // before answering no.
+            // instance may be spurious; climb the exact ladder before
+            // answering no.
             SystemState probe(expiring, t);
             probe.accommodate(clipped_req);
-            if (engine_ != FeasibilityEngine::kExplorer) {
-              const FeasibilityResult sym =
-                  decide_feasibility(probe, clipped.end(), symbolic_);
-              if (sym.verdict != FeasibilityVerdict::kUnknown) {
-                return sym.feasible();
-              }
-              if (engine_ == FeasibilityEngine::kSymbolic) return false;
-            }
-            SearchOptions fallback;
-            fallback.engine = FeasibilityEngine::kExplorer;
-            return search_feasible(probe, clipped.end(), fallback).has_value();
+            return search_feasible(probe, clipped.end()).has_value();
           },
           [&](const NotOp& n) { return !satisfies(*n.operand, position); },
           [&](const EventuallyOp& n) {

@@ -12,10 +12,10 @@
 //                         is complete for a single actor);
 //   satisfy(ρ(Λ,s,d))   — a per-actor plan over Θ_expire exists. The
 //                         sequential planner decides the common case; when it
-//                         fails, the selected FeasibilityEngine ladder takes
-//                         over (symbolic cut-point engine, then the
-//                         permutation explorer), making the default kAuto
-//                         verdict exact for contended multi-actor instances;
+//                         fails, search_feasible's ladder (greedy orders, then
+//                         the symbolic cut-point engine) takes over, making
+//                         the verdict exact for contended multi-actor
+//                         instances the engine decides (kUnknown: no);
 //   ¬, ◇, □            — as usual, with ◇/□ ranging over strictly later
 //                         positions of the (finite) path, per the paper's
 //                         "∃/∀ t' > t".
@@ -24,22 +24,15 @@
 #include "rota/logic/formula.hpp"
 #include "rota/logic/path.hpp"
 #include "rota/logic/planner.hpp"
-#include "rota/logic/symbolic/feasibility.hpp"
 
 namespace rota {
 
 class ModelChecker {
  public:
   /// The checker borrows the path; it must outlive the checker.
-  /// `engine` selects the satisfy(ρ(Λ,s,d)) fallback ladder used when the
-  /// sequential planner rejects: kGreedy reproduces the historical
-  /// planner-only (incomplete) verdict, kSymbolic/kExplorer pick one exact
-  /// rung, kAuto climbs symbolic-then-explorer.
   explicit ModelChecker(const ComputationPath& path,
-                        PlanningPolicy policy = PlanningPolicy::kAsap,
-                        FeasibilityEngine engine = FeasibilityEngine::kAuto,
-                        FeasibilityOptions symbolic = {})
-      : path_(path), policy_(policy), engine_(engine), symbolic_(symbolic) {}
+                        PlanningPolicy policy = PlanningPolicy::kAsap)
+      : path_(path), policy_(policy) {}
 
   /// M, σ, position ⊨ ψ. `position` indexes the path's states.
   bool satisfies(const Formula& psi, std::size_t position) const;
@@ -52,8 +45,6 @@ class ModelChecker {
 
   const ComputationPath& path_;
   PlanningPolicy policy_;
-  FeasibilityEngine engine_;
-  FeasibilityOptions symbolic_;
 };
 
 }  // namespace rota

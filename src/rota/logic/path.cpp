@@ -60,7 +60,7 @@ ResourceSet ComputationPath::expiring_resources(std::size_t from_index,
   for (std::size_t i = from_index; i < steps_.size(); ++i) {
     const auto* join = std::get_if<JoinStep>(&steps_[i]);
     if (join == nullptr) continue;
-    supply = supply.unioned(join->joined.from(states_[i].now()));
+    supply.union_with(join->joined.from(states_[i].now()));
   }
 
   // Remove what the path's commitments consume; the remainder expires.

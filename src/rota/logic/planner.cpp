@@ -26,7 +26,7 @@ std::map<LocatedType, StepFunction> ConcurrentPlan::total_usage() const {
   for (const auto& a : actors) {
     for (const auto& [type, f] : a.usage) {
       auto [it, inserted] = out.emplace(type, f);
-      if (!inserted) it->second = it->second.plus(f);
+      if (!inserted) it->second.add(f);
     }
   }
   return out;
@@ -163,7 +163,7 @@ std::optional<ActorPlan> plan_asap(const ResourceSet& available,
     }
     for (auto& [type, piece] : pieces) {
       auto [it, inserted] = plan.usage.emplace(type, piece.usage);
-      if (!inserted) it->second = it->second.plus(piece.usage);
+      if (!inserted) it->second.add(piece.usage);
     }
     if (i + 1 < req.phases().size()) plan.cut_points.push_back(phase_end);
     cursor = phase_end;
@@ -194,7 +194,7 @@ std::optional<ActorPlan> plan_alap(const ResourceSet& available,
     }
     for (auto& [type, piece] : pieces) {
       auto [it, inserted] = plan.usage.emplace(type, piece.usage);
-      if (!inserted) it->second = it->second.plus(piece.usage);
+      if (!inserted) it->second.add(piece.usage);
     }
     if (i > 0) plan.cut_points.push_back(phase_start);
     cursor = phase_start;
@@ -242,7 +242,7 @@ std::optional<ActorPlan> plan_uniform(const ResourceSet& available,
       if (!piece) return std::nullopt;
       phase_end = std::max(phase_end, piece->boundary);
       auto [it, inserted] = plan.usage.emplace(type, piece->usage);
-      if (!inserted) it->second = it->second.plus(piece->usage);
+      if (!inserted) it->second.add(piece->usage);
     }
     if (i + 1 < req.phases().size()) plan.cut_points.push_back(slot.end());
     cursor = slot.end();

@@ -21,7 +21,7 @@ std::string ConsumptionLabel::to_string() const {
   return out.str();
 }
 
-void SystemState::join(const ResourceSet& joined) { theta_ = theta_.unioned(joined); }
+void SystemState::join(const ResourceSet& joined) { theta_.union_with(joined); }
 
 void SystemState::accommodate(const ConcurrentRequirement& rho) {
   if (now_ >= rho.window().end()) {

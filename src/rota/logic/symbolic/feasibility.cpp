@@ -10,16 +10,6 @@
 
 namespace rota {
 
-std::string feasibility_engine_name(FeasibilityEngine engine) {
-  switch (engine) {
-    case FeasibilityEngine::kAuto: return "auto";
-    case FeasibilityEngine::kGreedy: return "greedy";
-    case FeasibilityEngine::kSymbolic: return "symbolic";
-    case FeasibilityEngine::kExplorer: return "explorer";
-  }
-  return "?";
-}
-
 std::string feasibility_verdict_name(FeasibilityVerdict verdict) {
   switch (verdict) {
     case FeasibilityVerdict::kFeasible: return "feasible";

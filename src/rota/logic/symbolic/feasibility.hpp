@@ -1,9 +1,9 @@
 // Symbolic cut-point feasibility engine for multi-actor satisfy(ρ(Λ,s,d)).
 //
-// The brute-force explorer decides multi-actor accommodation by sweeping
-// priority permutations — factorial in the number of commitments, so it caps
-// out at `max_permuted`. This engine decides the same question by searching
-// over *cut-points* instead of schedules:
+// Greedy priority orders decide multi-actor accommodation only when one of
+// them happens to find a schedule, and a sweep over static priority orders
+// is factorial in the number of commitments. This engine decides the
+// question exactly by searching over *cut-points* instead of schedules:
 //
 //   For each unfinished commitment, the pending phases must complete in
 //   order inside the commitment's window. Fix the boundary ticks
@@ -18,21 +18,23 @@
 //   domains, and a relaxed flow check (unassigned commitments keep their
 //   full boundary hulls) prunes partial assignments. Single-phase
 //   commitments contribute *no* free cut-points, so the common case — n
-//   single-phase actors that the explorer needs n! permutations for — is a
+//   single-phase actors that a static-order sweep needs n! runs for — is a
 //   single polynomial flow check.
 //
-// Decision class: one phase per actor per tick, i.e. exactly the schedules
-// the greedy/permutation explorer can reach. (SystemState::advance would
+// Decision class: one phase per actor per tick, i.e. the schedules the
+// greedy explorer and the planner emit. (SystemState::advance would
 // technically allow a second label to land in the *next* phase within one
-// tick after a mid-tick promotion; neither the explorer nor the planner
-// ever emits such schedules, and the equivalence gate in the fuzz harness
-// pins this engine against the explorer, so that latent extra freedom is
-// deliberately out of scope.) Witnesses are per-tick label lists that replay
-// through SystemState::advance, so every kFeasible verdict is checkable.
+// tick after a mid-tick promotion; neither ever emits such schedules, and
+// the feasibility fuzz family pins this engine against a static-order sweep
+// and an exhaustive tick-level referee, so that latent extra freedom is
+// deliberately out of scope.) Witnesses are per-tick label lists that
+// replay through SystemState::advance, so every kFeasible verdict is
+// checkable.
 //
 // Verdicts are exact (kFeasible / kInfeasible) unless the node budget or the
-// tick ceiling is exceeded, in which case kUnknown tells callers to fall
-// back to the permutation sweep.
+// tick ceiling is exceeded, in which case kUnknown means "not shown
+// feasible": search_feasible, the model checker and the admission kernel all
+// treat it as a rejection.
 #pragma once
 
 #include <cstdint>
@@ -44,18 +46,6 @@
 #include "rota/logic/planner.hpp"
 
 namespace rota {
-
-/// Which rungs of the feasibility ladder a caller wants. Greedy priority
-/// orders always run first (cheap, and they yield witness paths directly);
-/// the selector picks what happens when they fail.
-enum class FeasibilityEngine {
-  kAuto,      // greedy → symbolic → permutation sweep on kUnknown
-  kGreedy,    // greedy orders only (sound but incomplete)
-  kSymbolic,  // greedy → symbolic; kUnknown means undecided (no sweep)
-  kExplorer,  // greedy → permutation sweep (the historical brute force)
-};
-
-std::string feasibility_engine_name(FeasibilityEngine engine);
 
 enum class FeasibilityVerdict { kFeasible, kInfeasible, kUnknown };
 

@@ -45,7 +45,6 @@ CoreMetrics& CoreMetrics::get() {
         r.counter("sim.admissions"),
         r.counter("sim.gc_runs"),
         r.counter("explorer.greedy_runs"),
-        r.counter("explorer.permutations"),
         r.counter("cluster.submitted"),
         r.counter("cluster.accepted.local"),
         r.counter("cluster.accepted.remote"),

@@ -130,8 +130,7 @@ struct CoreMetrics {
   Counter& sim_gc_runs;
 
   // Explorer.
-  Counter& explorer_greedy_runs;   // full greedy executions (any ranking)
-  Counter& explorer_permutations;  // permutations tried by search_feasible
+  Counter& explorer_greedy_runs;  // full greedy executions (any order)
 
   // Cluster layer: per-node admission outcomes and protocol traffic.
   Counter& cluster_submitted;       // jobs entering a node's admission path

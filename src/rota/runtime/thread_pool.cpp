@@ -1,9 +1,5 @@
 #include "rota/runtime/thread_pool.hpp"
 
-#include <atomic>
-#include <exception>
-#include <memory>
-
 namespace rota {
 
 ThreadPool::ThreadPool(std::size_t concurrency)
@@ -78,65 +74,6 @@ void ThreadPool::worker_loop() {
       if (active_ == 0 && queue_.empty()) idle_.notify_all();
     }
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  struct Sweep {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> live{0};
-    std::mutex m;
-    std::condition_variable done;
-    std::exception_ptr error;  // guarded by m
-  };
-  auto sweep = std::make_shared<Sweep>();
-
-  auto drain = [sweep, &body, n] {
-    for (;;) {
-      const std::size_t i = sweep->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(sweep->m);
-        if (!sweep->error) sweep->error = std::current_exception();
-      }
-    }
-  };
-
-  // One helper per worker, capped by the iteration count (the caller lane
-  // covers the rest). `body` is captured by reference: the caller blocks
-  // below until every helper has finished, so the reference stays valid.
-  const std::size_t helpers = std::min(workers_.size(), n - 1);
-  sweep->live.store(helpers, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t h = 0; h < helpers; ++h) {
-      queue_.push_back([sweep, drain] {
-        drain();
-        if (sweep->live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> done_lock(sweep->m);
-          sweep->done.notify_all();
-        }
-      });
-    }
-  }
-  if (helpers == 1) {
-    ready_.notify_one();
-  } else {
-    ready_.notify_all();
-  }
-
-  drain();  // caller participates
-  std::unique_lock<std::mutex> lock(sweep->m);
-  sweep->done.wait(lock, [&] { return sweep->live.load(std::memory_order_acquire) == 0; });
-  if (sweep->error) std::rethrow_exception(sweep->error);
 }
 
 }  // namespace rota

@@ -1,15 +1,15 @@
 // A fixed-size worker pool for the admission runtime.
 //
 // Deliberately work-stealing-free: tasks are pulled from one shared queue
-// under a mutex. The runtime's units of work (planning one admission request,
-// running one schedule permutation) each cost microseconds to milliseconds,
-// so a single queue is nowhere near contention-bound, and the simplicity
-// keeps the pool easy to reason about under ThreadSanitizer.
+// under a mutex. The runtime's unit of work (planning one admission request)
+// costs microseconds to milliseconds, so a single queue is nowhere near
+// contention-bound, and the simplicity keeps the pool easy to reason about
+// under ThreadSanitizer.
 //
-// `parallel_for` is the primary entry point: the calling thread participates
-// in the loop (a pool constructed with `concurrency` n uses n-1 workers plus
-// the caller), so concurrency 1 means strictly inline execution with zero
-// synchronization — callers need no special-casing for the sequential case.
+// The interface is `submit` / `drain` / `shutdown`. A pool constructed with
+// `concurrency` n counts the caller as one lane and spawns n-1 workers, so
+// concurrency 1 runs every submitted task inline on the caller — callers
+// need no special-casing for the sequential case.
 #pragma once
 
 #include <condition_variable>
@@ -49,12 +49,6 @@ class ThreadPool {
   /// work to completion, then joins the workers. Safe to call from a
   /// signal-driven stop path and idempotent; the destructor calls it.
   void shutdown();
-
-  /// Runs body(i) for every i in [0, n), spread over the workers and the
-  /// calling thread; returns when all iterations finished. The first
-  /// exception thrown by any iteration is rethrown on the caller (remaining
-  /// iterations are still drained). Iterations must not touch the pool.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
   void worker_loop();

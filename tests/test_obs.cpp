@@ -70,14 +70,17 @@ TEST(Metrics, HammeredFromThreadPoolLanesStaysExact) {
   ThreadPool pool(8);
   constexpr std::size_t kTasks = 64;
   constexpr std::size_t kPerTask = 5000;
-  pool.parallel_for(kTasks, [&](std::size_t i) {
-    for (std::size_t k = 0; k < kPerTask; ++k) {
-      hits.add();
-      lat.record(i);
-      // Registration races too: every lane asks for the same named counter.
-      registry.counter("shared").add();
-    }
-  });
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    pool.submit([&, i] {
+      for (std::size_t k = 0; k < kPerTask; ++k) {
+        hits.add();
+        lat.record(i);
+        // Registration races too: every lane asks for the same named counter.
+        registry.counter("shared").add();
+      }
+    });
+  }
+  pool.drain();
   EXPECT_EQ(hits.value(), kTasks * kPerTask);
   EXPECT_EQ(registry.counter("shared").value(), kTasks * kPerTask);
   EXPECT_EQ(lat.count(), kTasks * kPerTask);

@@ -1,14 +1,16 @@
 // The symbolic cut-point feasibility engine: exactness on instances the
-// greedy planner misjudges, agreement with the explorer where both decide,
-// witness validity, verdict semantics (kUnknown under a starved budget), and
-// the wiring into search_feasible, the model checker, and the planning
-// kernel's multi-actor admission probe.
+// greedy planner misjudges, decisions beyond what any static priority order
+// (the fuzz harness's sweep) can schedule, witness validity, verdict
+// semantics (kUnknown means not shown feasible), and the wiring into
+// search_feasible, the model checker, and the planning kernel's multi-actor
+// admission probe.
 #include "rota/logic/symbolic/feasibility.hpp"
 
 #include <gtest/gtest.h>
 
 #include "rota/admission/controller.hpp"
 #include "rota/computation/requirement.hpp"
+#include "rota/fuzz/exhaustive.hpp"
 #include "rota/logic/explorer.hpp"
 #include "rota/logic/model_checker.hpp"
 #include "rota/logic/planner.hpp"
@@ -59,17 +61,21 @@ class SymbolicTest : public ::testing::Test {
   /// One uncapped hog (12 cpu) ranked first, then n-1 drips (12 cpu at cap 1
   /// over [0, 12) — zero slack); supply n/tick. Feasible only when every
   /// drip outranks the hog, so every greedy order (all tie on deadline and
-  /// laxity, falling back to index order) fails, and the permutation sweep
-  /// refuses to brute-force above max_permuted.
-  SystemState drip_hog_state(std::size_t n) {
+  /// laxity, falling back to index order) fails, and the static-order sweep
+  /// refuses to brute-force above fuzz::kMaxSweepActors.
+  std::vector<ComplexRequirement> drip_hog_actors(std::size_t n) {
     const TimeInterval w(0, 12);
     std::vector<ComplexRequirement> actors;
     actors.push_back(actor("hog", 12, w, 0));
     for (std::size_t i = 0; i + 1 < n; ++i) {
       actors.push_back(actor("drip" + std::to_string(i), 12, w, 1));
     }
+    return actors;
+  }
+
+  SystemState drip_hog_state(std::size_t n) {
     SystemState s(supply(static_cast<Rate>(n), 12), 0);
-    s.accommodate(ConcurrentRequirement("dh", std::move(actors), w));
+    s.accommodate(ConcurrentRequirement("dh", drip_hog_actors(n), TimeInterval(0, 12)));
     return s;
   }
 };
@@ -143,11 +149,9 @@ TEST_F(SymbolicTest, AgreesOnInfeasibleInstances) {
 }
 
 TEST_F(SymbolicTest, DecidesAboveThePermutationCeiling) {
-  const SystemState s = drip_hog_state(8);  // 8 commitments > max_permuted 6
+  const SystemState s = drip_hog_state(8);  // 8 commitments > the sweep's 6
 
-  SearchOptions explorer_only;
-  explorer_only.engine = FeasibilityEngine::kExplorer;
-  EXPECT_FALSE(search_feasible(s, 12, explorer_only).has_value())
+  EXPECT_FALSE(fuzz::static_order_sweep(supply(8, 12), drip_hog_actors(8), 12))
       << "the sweep should refuse 8 commitments, not brute-force 8!";
 
   const FeasibilityResult r = decide_feasibility(s, 12);
@@ -168,18 +172,19 @@ TEST_F(SymbolicTest, DecidesAboveThePermutationCeiling) {
 // wants 5 uncapped over [0, 2). The only schedules interleave A=3,B=2 then
 // B=3,A=2 then A=3, but every static order starves one of them: B-first lets
 // B gulp 5 and leaves A at most 6, A-first drips B 2+2 < 5. The sweep must
-// refuse, the symbolic engine must decide feasible with a replayable
-// witness, and the kAuto ladder must turn it into a path.
+// find no order, the symbolic engine must decide feasible with a replayable
+// witness, and the search_feasible ladder must turn it into a path.
 TEST_F(SymbolicTest, CappedSinglePhaseBeyondStaticOrdersIsDecidedFeasible) {
   const TimeInterval w(0, 3);
+  const std::vector<ComplexRequirement> actors{
+      actor("cap.a", 8, w, 3), actor("cap.b", 5, TimeInterval(0, 2))};
   SystemState s(supply(5, 3), 0);
-  s.accommodate(ConcurrentRequirement(
-      "cap", {actor("cap.a", 8, w, 3), actor("cap.b", 5, TimeInterval(0, 2))},
-      w));
+  s.accommodate(ConcurrentRequirement("cap", actors, w));
 
-  SearchOptions explorer_only;
-  explorer_only.engine = FeasibilityEngine::kExplorer;
-  EXPECT_FALSE(search_feasible(s, 3, explorer_only).has_value())
+  const auto sweep = fuzz::static_order_sweep(supply(5, 3), actors, 3);
+  ASSERT_TRUE(sweep.has_value());
+  EXPECT_EQ(sweep->permutations, 2u);
+  EXPECT_FALSE(sweep->path.has_value())
       << "a static order that schedules this instance would be news";
 
   const FeasibilityResult r = decide_feasibility(s, 3);
@@ -191,7 +196,7 @@ TEST_F(SymbolicTest, CappedSinglePhaseBeyondStaticOrdersIsDecidedFeasible) {
   EXPECT_TRUE(path->back().all_finished());
 }
 
-TEST_F(SymbolicTest, StarvedBudgetReportsUnknownAndAutoFallsBack) {
+TEST_F(SymbolicTest, StarvedBudgetReportsUnknownAndLadderRejectsUnknown) {
   // Two-phase variant of the rescue instance: every greedy order still lets
   // A starve B, and A's second phase adds a free cut, so the DFS must expand
   // at least one node — which a zero budget forbids.
@@ -206,16 +211,20 @@ TEST_F(SymbolicTest, StarvedBudgetReportsUnknownAndAutoFallsBack) {
   EXPECT_EQ(decide_feasibility(s, 3, starved).verdict,
             FeasibilityVerdict::kUnknown);
   EXPECT_EQ(decide_feasibility(s, 3).verdict, FeasibilityVerdict::kFeasible);
+  EXPECT_TRUE(search_feasible(s, 3).has_value());
 
-  // kAuto with the starved budget still decides via the permutation sweep;
-  // kSymbolic alone must give up.
-  SearchOptions auto_opts;
-  auto_opts.symbolic = starved;
-  EXPECT_TRUE(search_feasible(s, 3, auto_opts).has_value());
-  SearchOptions symbolic_only;
-  symbolic_only.engine = FeasibilityEngine::kSymbolic;
-  symbolic_only.symbolic = starved;
-  EXPECT_FALSE(search_feasible(s, 3, symbolic_only).has_value());
+  // The rescue instance stretched past the engine's default tick ceiling:
+  // still feasible (B drips 1 every tick, A absorbs the rest), still missed
+  // by every greedy order, but the engine answers kUnknown — which the
+  // ladder reports as not shown feasible.
+  const TimeInterval wide(0, 600);
+  SystemState long_run(supply(2, 600), 0);
+  long_run.accommodate(ConcurrentRequirement(
+      "wide", {actor("wide.a", 600, wide, 0), actor("wide.b", 600, wide, 1)},
+      wide));
+  EXPECT_EQ(decide_feasibility(long_run, 600).verdict,
+            FeasibilityVerdict::kUnknown);
+  EXPECT_FALSE(search_feasible(long_run, 600).has_value());
 }
 
 TEST_F(SymbolicTest, OversizedTickSpanReportsUnknown) {
@@ -228,17 +237,29 @@ TEST_F(SymbolicTest, OversizedTickSpanReportsUnknown) {
             FeasibilityVerdict::kUnknown);
 }
 
-TEST_F(SymbolicTest, ModelCheckerEngineSelectorChangesTheVerdict) {
+TEST_F(SymbolicTest, ModelCheckerOverturnsPlannerRejection) {
   const ResourceSet avail = supply(2, 3);
   ComputationPath path(SystemState(avail, 0));
-  const FormulaPtr f = f_satisfy(rescue_rho());
 
-  const ModelChecker greedy_only(path, PlanningPolicy::kAsap,
-                                 FeasibilityEngine::kGreedy);
-  EXPECT_FALSE(greedy_only.satisfies(f, 0));
+  // The sequential planner alone rejects the rescue instance…
+  EXPECT_FALSE(plan_concurrent(avail, rescue_rho(), PlanningPolicy::kAsap));
+  // …and the checker's exact ladder accepts it.
+  const ModelChecker checker(path);
+  EXPECT_TRUE(checker.satisfies(f_satisfy(rescue_rho()), 0));
+}
 
-  const ModelChecker exact(path);  // kAuto default
-  EXPECT_TRUE(exact.satisfies(f, 0));
+TEST_F(SymbolicTest, StaticOrderSweepCountsOrdersUpToItsCeiling) {
+  // The winning order puts every drip before the hog; the sweep stops there
+  // (lexicographic winner index + 1) and refuses past its ceiling.
+  const std::size_t expected[] = {2, 4, 10, 34, 154};
+  for (std::size_t n = 2; n <= fuzz::kMaxSweepActors; ++n) {
+    const auto sweep = fuzz::static_order_sweep(
+        supply(static_cast<Rate>(n), 12), drip_hog_actors(n), 12);
+    ASSERT_TRUE(sweep.has_value()) << "n=" << n;
+    EXPECT_TRUE(sweep->path.has_value()) << "n=" << n;
+    EXPECT_EQ(sweep->permutations, expected[n - 2]) << "n=" << n;
+  }
+  EXPECT_FALSE(fuzz::static_order_sweep(supply(7, 12), drip_hog_actors(7), 12));
 }
 
 TEST_F(SymbolicTest, KernelAdmissionProbeRescuesContendedRequests) {

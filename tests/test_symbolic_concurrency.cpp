@@ -1,17 +1,12 @@
-// Concurrency contracts of the feasibility ladder: the parallel permutation
-// sweep must be observationally identical to the sequential one — same
-// winning path, same deterministic counter advances — and the symbolic
-// engine must be safely callable from concurrent pool lanes. Runs under
-// -DROTA_SANITIZE=thread via the tsan label.
+// Concurrency contract of the feasibility engine: decide_feasibility must be
+// safely callable from concurrent pool lanes and give every lane the same
+// verdict. Runs under -DROTA_SANITIZE=thread via the tsan label.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "rota/computation/requirement.hpp"
-#include "rota/logic/explorer.hpp"
 #include "rota/logic/symbolic/feasibility.hpp"
-#include "rota/obs/obs.hpp"
 #include "rota/runtime/thread_pool.hpp"
 
 namespace rota {
@@ -22,30 +17,23 @@ class SymbolicConcurrencyTest : public ::testing::Test {
   Location l1{"syc-l1"};
   LocatedType cpu1 = LocatedType::cpu(l1);
 
-  void TearDown() override { obs::enable_metrics(false); }
-
-  Phase cpu_phase(Quantity q) {
+  ComplexRequirement actor(const std::string& name, Quantity q,
+                           const TimeInterval& w, Rate cap) {
     Phase p;
     p.demand.add(cpu1, q);
     p.first_action = 0;
     p.action_count = 1;
-    return p;
-  }
-
-  ComplexRequirement actor(const std::string& name, Quantity q,
-                           const TimeInterval& w, Rate cap) {
-    return ComplexRequirement(name, {cpu_phase(q)}, w, cap);
+    return ComplexRequirement(name, {p}, w, cap);
   }
 
   /// Hog-first drip/hog instance (see test_symbolic.cpp): every greedy order
-  /// fails, so search_feasible reaches the permutation sweep. `demand` above
-  /// 12 makes the whole instance infeasible and forces a full sweep.
-  SystemState drip_hog(std::size_t n, Quantity demand = 12) {
+  /// fails, so only the engine decides it.
+  SystemState drip_hog(std::size_t n) {
     const TimeInterval w(0, 12);
     std::vector<ComplexRequirement> actors;
-    actors.push_back(actor("hog", demand, w, 0));
+    actors.push_back(actor("hog", 12, w, 0));
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      actors.push_back(actor("drip" + std::to_string(i), demand, w, 1));
+      actors.push_back(actor("drip" + std::to_string(i), 12, w, 1));
     }
     ResourceSet supply;
     supply.add(static_cast<Rate>(n), TimeInterval(0, 12), cpu1);
@@ -53,87 +41,16 @@ class SymbolicConcurrencyTest : public ::testing::Test {
     s.accommodate(ConcurrentRequirement("dh", std::move(actors), w));
     return s;
   }
-
-  /// Runs the explorer-only ladder and returns (path, permutation-counter
-  /// delta, greedy-runs delta).
-  struct SweepRun {
-    std::optional<ComputationPath> path;
-    std::uint64_t permutations = 0;
-    std::uint64_t greedy_runs = 0;
-  };
-
-  SweepRun sweep(const SystemState& start, ThreadPool* pool) {
-    SearchOptions options;
-    options.engine = FeasibilityEngine::kExplorer;
-    options.pool = pool;
-    obs::enable_metrics(true);
-    auto& metrics = obs::CoreMetrics::get();
-    const std::uint64_t perms_before = metrics.explorer_permutations.value();
-    const std::uint64_t greedy_before = metrics.explorer_greedy_runs.value();
-    SweepRun run;
-    run.path = search_feasible(start, 12, options);
-    run.permutations = metrics.explorer_permutations.value() - perms_before;
-    run.greedy_runs = metrics.explorer_greedy_runs.value() - greedy_before;
-    obs::enable_metrics(false);
-    return run;
-  }
 };
-
-TEST_F(SymbolicConcurrencyTest, ParallelSweepMatchesSequentialOnFeasible) {
-  const SystemState start = drip_hog(5);
-  ThreadPool pool(4);
-
-  const SweepRun seq = sweep(start, nullptr);
-  const SweepRun par = sweep(start, &pool);
-
-  ASSERT_TRUE(seq.path.has_value());
-  ASSERT_TRUE(par.path.has_value());
-  EXPECT_EQ(seq.path->steps(), par.path->steps());
-  EXPECT_EQ(seq.path->back(), par.path->back());
-  // Deterministic accounting: both sweeps report the sequential run count —
-  // winner index + 1 — on both counters, regardless of lane interleaving.
-  EXPECT_EQ(seq.permutations, par.permutations);
-  EXPECT_EQ(seq.greedy_runs, par.greedy_runs);
-  // 3 ladder greedy runs precede the sweep; the sweep itself advances both
-  // counters by the same amount.
-  EXPECT_EQ(seq.greedy_runs, seq.permutations + 3);
-}
-
-TEST_F(SymbolicConcurrencyTest, ParallelSweepMatchesSequentialOnInfeasible) {
-  const SystemState start = drip_hog(4, /*demand=*/13);
-  ThreadPool pool(4);
-
-  const SweepRun seq = sweep(start, nullptr);
-  const SweepRun par = sweep(start, &pool);
-
-  EXPECT_FALSE(seq.path.has_value());
-  EXPECT_FALSE(par.path.has_value());
-  // An exhausted sweep tries the full factorial on both sides.
-  EXPECT_EQ(seq.permutations, 24u);
-  EXPECT_EQ(par.permutations, 24u);
-  EXPECT_EQ(seq.greedy_runs, par.greedy_runs);
-}
-
-TEST_F(SymbolicConcurrencyTest, RepeatedParallelSweepsStayIdentical) {
-  const SystemState start = drip_hog(5);
-  ThreadPool pool(4);
-  const SweepRun first = sweep(start, &pool);
-  ASSERT_TRUE(first.path.has_value());
-  for (int i = 0; i < 10; ++i) {
-    const SweepRun again = sweep(start, &pool);
-    ASSERT_TRUE(again.path.has_value());
-    EXPECT_EQ(first.path->steps(), again.path->steps());
-    EXPECT_EQ(first.permutations, again.permutations);
-  }
-}
 
 TEST_F(SymbolicConcurrencyTest, SymbolicEngineIsSafeAcrossLanes) {
   const SystemState start = drip_hog(6);
   ThreadPool pool(4);
   std::vector<FeasibilityVerdict> verdicts(16, FeasibilityVerdict::kUnknown);
-  pool.parallel_for(verdicts.size(), [&](std::size_t i) {
-    verdicts[i] = decide_feasibility(start, 12).verdict;
-  });
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    pool.submit([&, i] { verdicts[i] = decide_feasibility(start, 12).verdict; });
+  }
+  pool.drain();
   for (const FeasibilityVerdict v : verdicts) {
     EXPECT_EQ(v, FeasibilityVerdict::kFeasible);
   }

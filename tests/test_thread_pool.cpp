@@ -7,9 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 #include <thread>
-#include <vector>
 
 namespace rota {
 namespace {
@@ -18,48 +16,6 @@ TEST(ThreadPoolTest, ConcurrencyCountsCallerLane) {
   EXPECT_EQ(ThreadPool(0).concurrency(), 1u);
   EXPECT_EQ(ThreadPool(1).concurrency(), 1u);
   EXPECT_EQ(ThreadPool(4).concurrency(), 4u);
-}
-
-TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
-  for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(lanes);
-    const std::size_t n = 1000;
-    std::vector<std::atomic<int>> visits(n);
-    pool.parallel_for(n, [&](std::size_t i) { visits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "lanes=" << lanes << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesFewerItemsThanLanes) {
-  ThreadPool pool(8);
-  std::atomic<int> sum{0};
-  pool.parallel_for(3, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i) + 1); });
-  EXPECT_EQ(sum.load(), 6);
-  pool.parallel_for(0, [&](std::size_t) { FAIL() << "no iterations expected"; });
-}
-
-TEST(ThreadPoolTest, ParallelForIsReusableAcrossRounds) {
-  ThreadPool pool(4);
-  std::atomic<long> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(64, [&](std::size_t i) { total.fetch_add(static_cast<long>(i)); });
-  }
-  EXPECT_EQ(total.load(), 50L * (64L * 63L / 2));
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i) {
-                                   if (i == 37) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-  // The pool survives a throwing sweep.
-  std::atomic<int> ok{0};
-  pool.parallel_for(10, [&](std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 10);
 }
 
 TEST(ThreadPoolTest, SubmitRunsAllTasks) {
@@ -159,7 +115,10 @@ TEST(ThreadPoolTest, InlinePoolRunsOnCallerThread) {
   ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
   std::set<std::thread::id> ids;
-  pool.parallel_for(16, [&](std::size_t) { ids.insert(std::this_thread::get_id()); });
+  for (int i = 0; i < 16; ++i) {
+    pool.submit([&] { ids.insert(std::this_thread::get_id()); });
+  }
+  pool.drain();
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(*ids.begin(), caller);
 }
