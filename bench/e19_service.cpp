@@ -18,8 +18,9 @@
 //     requests must stay within the SLO — overload degrades acceptance
 //     latency for the shed, never decision latency for the served.
 //
-//   calm  — a slow tail after the crowd: the governor must promote back
-//     toward kExact once pressure clears.
+//   calm  — a slow tail after the crowd, arriving past the flash's last
+//     tick: the governor must promote back toward kExact once pressure
+//     clears, and the phase must admit something.
 //
 // Safety gate, both phases: service.revalidations_failed == 0 — every accept
 // from every rung carried a plan the live residual covered at commit. Any
@@ -269,14 +270,21 @@ int main(int argc, char** argv) {
     flash = report_of(collected, svc.stats());
 
     // ---- Phase 3: calm tail — promotion after pressure clears -------------
+    // Calm arrivals come after the flash's last arrival tick, one base gap
+    // apart. Reusing the flash's own ticks would ask again for supply the
+    // flash's accepts already hold, and the phase would reject everything.
     const std::size_t calm_n =
         static_cast<std::size_t>(config.governor.promote_after) * 2 + 8;
+    const Tick calm_gap = static_cast<Tick>(pattern.base_mean_interarrival);
+    Tick calm_at = 0;
+    for (const Arrival& a : arrivals) calm_at = std::max(calm_at, a.at);
     Collector calm_collected;
     const ServiceStats before_calm = svc.stats();
     for (std::size_t i = 0; i < calm_n; ++i) {
+      calm_at += calm_gap;
       AdmitRequest request;
       request.id = 1'000'000 + i;
-      request.at = arrivals[i % arrivals.size()].at;
+      request.at = calm_at;
       request.computation = gen.make_computation(request.at);
       svc.submit(std::move(request), [&calm_collected](const AdmitResponse& r) {
         calm_collected.on_response(r);
@@ -324,6 +332,11 @@ int main(int argc, char** argv) {
   }
   if (calm.promotions == 0) {
     std::cerr << "FATAL: governor failed to promote after pressure cleared\n";
+    return 1;
+  }
+  if (calm.accepted == 0) {
+    std::cerr << "FATAL: calm phase accepted none of its " << calm.requests
+              << " requests\n";
     return 1;
   }
 

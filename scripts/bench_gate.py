@@ -216,6 +216,10 @@ def gate_e19(base, cand):
             f"the {slo_ns}ns SLO")
     if int(calm.get("promotions", 0)) < 1:
         failures.append("governor never promoted back after pressure cleared")
+    if int(calm.get("accepted", 0)) < 1:
+        failures.append(
+            f"calm phase accepted none of its {int(calm.get('requests', 0))} "
+            "requests")
     if int(cand["revalidations_failed"]) != 0:
         failures.append(
             f"{cand['revalidations_failed']} degraded accept(s) were refused "

@@ -23,7 +23,7 @@ namespace {
 
 /// One pending phase of one unfinished commitment, flattened. `lo`/`hi` are
 /// the relaxed ASAP/ALAP hull [e_i, l_{i+1}); the DFS narrows an actor's
-/// phases to exact [c_i, c_{i+1}) windows once its boundaries are assigned.
+/// phases to exact [c_i, c_{i+1}) windows as its boundaries are placed.
 struct PhaseVar {
   std::size_t actor = 0;           // index into ActorVars
   std::size_t index = 0;           // position among the actor's pending phases
@@ -41,8 +41,10 @@ struct ActorVar {
   std::vector<const DemandSet*> pending;
   std::vector<Tick> earliest;  // e_0 … e_m (boundary lower bounds)
   std::vector<Tick> latest;    // l_0 … l_m (boundary upper bounds)
-  std::vector<Tick> cuts;      // c_0 … c_m once assigned
-  bool assigned = false;
+  std::vector<Tick> cuts;      // c_0 … c_fixed as placed (c_m = deadline)
+  // Boundaries placed: c_0 … c_fixed are fixed; 0 = none searched yet,
+  // m = every boundary fixed (the actor is assigned).
+  std::size_t fixed = 0;
   // availability min'd with the commitment's rate cap, per demanded type,
   // restricted to [release, deadline)
   std::vector<std::pair<LocatedType, StepFunction>> capped;
@@ -65,17 +67,50 @@ struct Encoding {
   std::vector<std::pair<LocatedType, std::vector<Rate>>> supply;
 };
 
+/// One located type's transportation check: the phases demanding it (fixed
+/// per instance) and the verdict of its last check, keyed by the windows
+/// those phases had then. A check whose windows did not move reuses it.
+struct TypeFlow {
+  std::vector<std::pair<std::size_t, Quantity>> want;  // (phase idx, q)
+  Quantity total = 0;
+  std::vector<Tick> windows;  // lo, hi per `want` entry at the last check
+  bool feasible = false;
+};
+
 struct Search {
+  explicit Search(const FeasibilityOptions& opts) : options(opts) {}
+
   const FeasibilityOptions& options;
   Encoding enc;
   FeasibilityStats stats;
   bool exhausted = false;
+  std::vector<TypeFlow> flows;  // parallel to enc.supply
+  std::vector<Tick> windows;    // scratch key of the check in progress
+  symbolic::MaxFlow mf;         // reset and rebuilt per type check
 
-  /// Window phase `p` may consume in under the current partial assignment.
+  /// Collects, per supplied type, the phases that demand it.
+  void index_flows() {
+    flows.resize(enc.supply.size());
+    for (std::size_t ti = 0; ti < enc.supply.size(); ++ti) {
+      for (std::size_t pi = 0; pi < enc.phases.size(); ++pi) {
+        const Quantity q = enc.phases[pi].demand->of(enc.supply[ti].first);
+        if (q > 0) {
+          flows[ti].want.emplace_back(pi, q);
+          flows[ti].total += q;
+        }
+      }
+    }
+  }
+
+  /// Window phase `p` may consume in under the current partial assignment:
+  /// exact [c_i, c_{i+1}) below the actor's last placed boundary c_f, and
+  /// [max(c_f, e_i), l_{i+1}) from it on — which contains every window a
+  /// completion of the partial assignment can give the phase.
   std::pair<Tick, Tick> phase_window(const PhaseVar& p) const {
     const ActorVar& a = enc.actors[p.actor];
-    if (a.assigned) return {a.cuts[p.index], a.cuts[p.index + 1]};
-    return {p.lo, p.hi};
+    if (p.index < a.fixed) return {a.cuts[p.index], a.cuts[p.index + 1]};
+    if (a.fixed == 0) return {p.lo, p.hi};
+    return {std::max(p.lo, a.cuts[a.fixed]), p.hi};
   }
 
   /// Per-type transportation relaxation. Exact when every actor is assigned.
@@ -83,54 +118,64 @@ struct Search {
   /// flow into per-tick witness labels.
   bool flow_feasible(std::vector<std::vector<ConsumptionLabel>>* schedule) {
     ++stats.flow_checks;
+    for (std::size_t ti = 0; ti < flows.size(); ++ti) {
+      TypeFlow& tf = flows[ti];
+      if (tf.total == 0) continue;
+      windows.clear();
+      for (const auto& [pi, q] : tf.want) {
+        const auto [w_lo, w_hi] = phase_window(enc.phases[pi]);
+        windows.push_back(w_lo);
+        windows.push_back(w_hi);
+      }
+      if (schedule == nullptr && !tf.windows.empty() && windows == tf.windows) {
+        if (!tf.feasible) return false;
+        continue;
+      }
+      tf.windows = windows;
+      tf.feasible = type_feasible(ti, windows, schedule);
+      if (!tf.feasible) return false;
+    }
+    return true;
+  }
+
+  /// One type's transportation problem; `w` holds lo, hi per demanding phase.
+  bool type_feasible(std::size_t ti, const std::vector<Tick>& w,
+                     std::vector<std::vector<ConsumptionLabel>>* schedule) {
+    const auto& [type, avail] = enc.supply[ti];
+    const TypeFlow& tf = flows[ti];
     const std::size_t ticks = static_cast<std::size_t>(enc.end - enc.now);
-    for (const auto& [type, avail] : enc.supply) {
-      // phases demanding this type
-      std::vector<std::pair<std::size_t, Quantity>> want;  // (phase idx, q)
-      Quantity total = 0;
-      for (std::size_t pi = 0; pi < enc.phases.size(); ++pi) {
-        const Quantity q = enc.phases[pi].demand->of(type);
-        if (q > 0) {
-          want.emplace_back(pi, q);
-          total += q;
-        }
+    // nodes: 0 = source, 1..ticks = supply ticks, then phases, then sink
+    const std::size_t sink = 1 + ticks + tf.want.size();
+    mf.reset(sink + 1);
+    for (std::size_t k = 0; k < ticks; ++k) {
+      if (avail[k] > 0) mf.add_edge(0, 1 + k, avail[k]);
+    }
+    struct TickEdge {
+      Tick tick;
+      std::size_t phase;
+      std::size_t edge;
+    };
+    std::vector<TickEdge> tick_edges;
+    for (std::size_t j = 0; j < tf.want.size(); ++j) {
+      const auto& [pi, q] = tf.want[j];
+      const ActorVar& a = enc.actors[enc.phases[pi].actor];
+      const Rate cap = a.rate_cap > 0 ? a.rate_cap : q;
+      for (Tick t = w[2 * j]; t < w[2 * j + 1]; ++t) {
+        const std::size_t k = static_cast<std::size_t>(t - enc.now);
+        if (avail[k] <= 0) continue;
+        const std::size_t id = mf.add_edge(1 + k, 1 + ticks + j, cap);
+        if (schedule != nullptr) tick_edges.push_back({t, pi, id});
       }
-      if (total == 0) continue;
-      // nodes: 0 = source, 1..ticks = supply ticks, then phases, then sink
-      const std::size_t sink = 1 + ticks + want.size();
-      symbolic::MaxFlow mf(sink + 1);
-      for (std::size_t k = 0; k < ticks; ++k) {
-        if (avail[k] > 0) mf.add_edge(0, 1 + k, avail[k]);
-      }
-      struct TickEdge {
-        Tick tick;
-        std::size_t phase;
-        std::size_t edge;
-      };
-      std::vector<TickEdge> tick_edges;
-      for (std::size_t w = 0; w < want.size(); ++w) {
-        const auto& [pi, q] = want[w];
-        const PhaseVar& p = enc.phases[pi];
-        const ActorVar& a = enc.actors[p.actor];
-        const auto [w_lo, w_hi] = phase_window(p);
-        const Rate cap = a.rate_cap > 0 ? a.rate_cap : q;
-        for (Tick t = w_lo; t < w_hi; ++t) {
-          const std::size_t k = static_cast<std::size_t>(t - enc.now);
-          if (avail[k] <= 0) continue;
-          const std::size_t id = mf.add_edge(1 + k, 1 + ticks + w, cap);
-          if (schedule != nullptr) tick_edges.push_back({t, pi, id});
-        }
-        mf.add_edge(1 + ticks + w, sink, q);
-      }
-      if (mf.solve(0, sink) < total) return false;
-      if (schedule != nullptr) {
-        for (const TickEdge& te : tick_edges) {
-          const std::int64_t f = mf.flow_on(te.edge);
-          if (f <= 0) continue;
-          const PhaseVar& p = enc.phases[te.phase];
-          (*schedule)[static_cast<std::size_t>(te.tick - enc.now)].push_back(
-              ConsumptionLabel{enc.actors[p.actor].commitment, type, f});
-        }
+      mf.add_edge(1 + ticks + j, sink, q);
+    }
+    if (mf.solve(0, sink) < tf.total) return false;
+    if (schedule != nullptr) {
+      for (const TickEdge& te : tick_edges) {
+        const std::int64_t f = mf.flow_on(te.edge);
+        if (f <= 0) continue;
+        const PhaseVar& p = enc.phases[te.phase];
+        (*schedule)[static_cast<std::size_t>(te.tick - enc.now)].push_back(
+            ConsumptionLabel{enc.actors[p.actor].commitment, type, f});
       }
     }
     return true;
@@ -156,9 +201,9 @@ struct Search {
       // enumeration lower bound covers phases 0..m-2, the ALAP bound on
       // c_{m-1} covers the last); what is left is cross-actor contention,
       // which the relaxation checks (exactly, once every actor is assigned).
-      a.assigned = true;
+      a.fixed = m;
       if (flow_feasible(nullptr) && search(ai + 1)) return true;
-      a.assigned = false;
+      a.fixed = m - 1;
       return false;
     }
     // Earliest completion of phase b-1 when it starts at cuts[b-1]: the
@@ -176,9 +221,17 @@ struct Search {
         return false;
       }
       a.cuts[b] = c;
+      a.fixed = b;
+      // Prune between boundaries: phases before b now have exact windows,
+      // the rest their narrowed hulls. A failed relaxation means no
+      // completion of this prefix exists, so skipping it keeps the DFS order
+      // and the first witness. (At b = m-1 the next level's check is the
+      // same one, exact for this actor.)
+      if (b + 1 < m && !flow_feasible(nullptr)) continue;
       if (assign_boundary(ai, b + 1)) return true;
       if (exhausted) return false;
     }
+    a.fixed = b - 1;
     return false;
   }
 };
@@ -199,7 +252,7 @@ FeasibilityResult decide_feasibility(const SystemState& start, Tick horizon,
     }
   }
 
-  Search s{options, {}, {}, false};
+  Search s(options);
   Encoding& enc = s.enc;
   enc.now = start.now();
   enc.end = enc.now;
@@ -327,6 +380,7 @@ FeasibilityResult decide_feasibility(const SystemState& start, Tick horizon,
     }
     enc.supply.assign(supply.begin(), supply.end());
   }
+  s.index_flows();
 
   // All-relaxed root check: if even the boundary hulls cannot transport the
   // demand, the instance is infeasible without any search.
@@ -390,7 +444,8 @@ std::optional<ComputationPath> feasibility_witness_path(
 
 std::optional<ConcurrentPlan> symbolic_concurrent_plan(
     const ResourceSet& available, const ConcurrentRequirement& rho, Tick now,
-    const FeasibilityOptions& options) {
+    const FeasibilityOptions& options, FeasibilityVerdict* verdict) {
+  if (verdict != nullptr) *verdict = FeasibilityVerdict::kInfeasible;
   if (now >= rho.window().end()) return std::nullopt;
   SystemState probe(available, now);
   try {
@@ -400,6 +455,7 @@ std::optional<ConcurrentPlan> symbolic_concurrent_plan(
   }
   const FeasibilityResult result =
       decide_feasibility(probe, rho.window().end(), options);
+  if (verdict != nullptr) *verdict = result.verdict;
   if (!result.feasible()) return std::nullopt;
 
   ConcurrentPlan plan;

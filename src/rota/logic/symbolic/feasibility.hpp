@@ -15,11 +15,21 @@
 //   answered exactly by a small integral max-flow. The search over cut
 //   assignments is a DFS with interval propagation: ASAP/ALAP bounds from
 //   earliest_cover/latest_cover_start prune each commitment's boundary
-//   domains, and a relaxed flow check (unassigned commitments keep their
-//   full boundary hulls) prunes partial assignments. Single-phase
-//   commitments contribute *no* free cut-points, so the common case — n
-//   single-phase actors that a static-order sweep needs n! runs for — is a
-//   single polynomial flow check.
+//   domains, and a relaxed flow check prunes partial assignments. The check
+//   runs after every boundary the DFS places, not only after a
+//   commitment's last one: with c_0 … c_b placed, the commitment's phases
+//   below b use their exact windows, phases i ≥ b the narrowed hull
+//   [max(c_b, e_i), l_{i+1}), and commitments not yet reached their full
+//   hulls [e_i, l_{i+1}). Every completion of the prefix consumes inside
+//   those windows, so a failed check cuts only subtrees without a solution:
+//   the DFS order, and with it the first witness, is that of the unpruned
+//   search. Consecutive checks mostly move the windows of one commitment,
+//   so each located type keeps the verdict of its last check keyed by the
+//   windows of the phases demanding it, and a check re-solves only the
+//   types whose windows moved. Single-phase commitments contribute *no*
+//   free cut-points, so the common case — n single-phase actors that a
+//   static-order sweep needs n! runs for — is a single polynomial flow
+//   check.
 //
 // Decision class: one phase per actor per tick, i.e. the schedules the
 // greedy explorer and the planner emit. (SystemState::advance would
@@ -62,7 +72,7 @@ struct FeasibilityOptions {
 
 struct FeasibilityStats {
   std::uint64_t nodes = 0;        // boundary values enumerated by the DFS
-  std::uint64_t flow_checks = 0;  // transportation relaxations solved
+  std::uint64_t flow_checks = 0;  // relaxations decided (memo hits included)
   std::size_t free_cuts = 0;      // interior boundaries searched over
   Tick ticks = 0;                 // window width of the encoding
 };
@@ -98,9 +108,12 @@ std::optional<ComputationPath> feasibility_witness_path(
 /// Admission-probe adapter: accommodates `rho` against `available` at `now`
 /// and, when the engine proves feasibility, converts the witness schedule
 /// into a ConcurrentPlan (per-actor usage step functions + cut points) that
-/// a CommitmentLedger can admit. nullopt on kInfeasible *and* kUnknown.
+/// a CommitmentLedger can admit. nullopt on kInfeasible *and* kUnknown; a
+/// non-null `verdict` receives which one it was (kInfeasible also when `rho`
+/// cannot be accommodated at `now` at all).
 std::optional<ConcurrentPlan> symbolic_concurrent_plan(
     const ResourceSet& available, const ConcurrentRequirement& rho, Tick now,
-    const FeasibilityOptions& options = {});
+    const FeasibilityOptions& options = {},
+    FeasibilityVerdict* verdict = nullptr);
 
 }  // namespace rota

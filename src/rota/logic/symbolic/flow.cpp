@@ -1,10 +1,18 @@
 #include "rota/logic/symbolic/flow.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 namespace rota::symbolic {
+
+void MaxFlow::reset(std::size_t nodes) {
+  if (adj_.size() < nodes) adj_.resize(nodes);
+  for (std::size_t v = 0; v < nodes; ++v) adj_[v].clear();
+  level_.resize(nodes);
+  iter_.resize(nodes);
+  edges_.clear();
+  caps_.clear();
+}
 
 std::size_t MaxFlow::add_edge(std::size_t from, std::size_t to,
                               std::int64_t capacity) {
@@ -18,16 +26,15 @@ std::size_t MaxFlow::add_edge(std::size_t from, std::size_t to,
 
 bool MaxFlow::bfs(std::size_t s, std::size_t t) {
   std::fill(level_.begin(), level_.end(), -1);
-  std::deque<std::size_t> queue;
+  queue_.clear();
   level_[s] = 0;
-  queue.push_back(s);
-  while (!queue.empty()) {
-    const std::size_t v = queue.front();
-    queue.pop_front();
+  queue_.push_back(s);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::size_t v = queue_[head];
     for (const Edge& e : adj_[v]) {
       if (e.cap <= 0 || level_[e.to] >= 0) continue;
       level_[e.to] = level_[v] + 1;
-      queue.push_back(e.to);
+      queue_.push_back(e.to);
     }
   }
   return level_[t] >= 0;

@@ -25,6 +25,8 @@ CoreMetrics& CoreMetrics::get() {
         r.counter("plan.speculate.count"),
         r.counter("plan.speculate.feasible"),
         r.counter("plan.speculate.rescued"),
+        r.counter("plan.speculate.rescue_unknown"),
+        r.histogram("plan.rescue_ns"),
         r.counter("plan.commit.accepted"),
         r.counter("plan.commit.rejected.deadline_passed"),
         r.counter("plan.commit.rejected.no_plan"),

@@ -21,6 +21,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -41,6 +43,14 @@ void enable_metrics(bool on);
 
 /// True when a trace sink is installed (one relaxed-ish load).
 inline bool tracing_enabled() { return TraceRecorder::current() != nullptr; }
+
+/// Steady-clock nanoseconds, the time base of the *_ns histograms.
+inline std::uint64_t clock_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Gated counter bump: no-op unless metrics are enabled.
 inline void count(Counter& c, std::uint64_t n = 1) {
@@ -101,6 +111,11 @@ struct CoreMetrics {
   Counter& plan_speculations_feasible;  // speculations that found a plan
   Counter& plan_speculations_rescued;   // greedy planner rejected, symbolic
                                         // feasibility engine found a plan
+  Counter& plan_speculations_rescue_unknown;  // rescue gave up (node budget
+                                              // or tick ceiling): the
+                                              // rejection is "not shown
+                                              // feasible", not proved
+  Histogram& plan_rescue_ns;            // wall time per symbolic rescue
   Counter& plan_commit_accepted;
   Counter& plan_commit_rejected_deadline;  // window empty: deadline passed
   Counter& plan_commit_rejected_no_plan;   // planner found no feasible plan

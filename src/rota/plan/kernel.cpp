@@ -46,10 +46,15 @@ const char* PlanResult::reject_reason() const {
 
 namespace {
 
-// Budget for the in-kernel symbolic probe: generous enough that small and
-// mid-size admission windows are always decided exactly, small enough that a
-// rejection-heavy workload is not slowed by pathological cut searches (the
-// probe returns kUnknown and the greedy rejection stands).
+// Budget for the in-kernel symbolic probe. The cut search runs a relaxed
+// per-type flow check after every boundary it places, so a prefix with no
+// completion is cut before its subtree is walked, and each check re-solves
+// only the types whose phase windows moved since that type's last check. On
+// the e15 input no rescue needs more than 37 nodes. The budget is a
+// backstop against pathological windows: past 20,000 nodes or 256 ticks the
+// probe returns kUnknown, the greedy rejection stands, and
+// plan.speculate.rescue_unknown counts it (plan.rescue_ns records what every
+// rescue cost).
 constexpr FeasibilityOptions kKernelProbeOptions{/*node_budget=*/20'000,
                                                  /*max_ticks=*/256};
 
@@ -115,8 +120,18 @@ PlanResult speculate_against(const ConcurrentRequirement& rho, Tick at,
       result.status = PlanStatus::kCancelled;
       return result;
     }
-    plan = symbolic_concurrent_plan(view, effective, at, kKernelProbeOptions);
-    if (plan && metered) obs::CoreMetrics::get().plan_speculations_rescued.add();
+    const std::uint64_t rescue_t0 = metered ? obs::clock_ns() : 0;
+    FeasibilityVerdict verdict = FeasibilityVerdict::kInfeasible;
+    plan = symbolic_concurrent_plan(view, effective, at, kKernelProbeOptions,
+                                    &verdict);
+    if (metered) {
+      obs::CoreMetrics& m = obs::CoreMetrics::get();
+      m.plan_rescue_ns.record(obs::clock_ns() - rescue_t0);
+      if (plan) m.plan_speculations_rescued.add();
+      if (verdict == FeasibilityVerdict::kUnknown) {
+        m.plan_speculations_rescue_unknown.add();
+      }
+    }
   }
   if (!plan) {
     result.status = PlanStatus::kInfeasible;

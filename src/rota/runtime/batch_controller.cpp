@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <sstream>
 
@@ -11,13 +10,6 @@
 namespace rota {
 
 namespace {
-
-std::uint64_t round_clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One cell of the round's lock-free MPSC commit queue. A lane fills
 /// `result` (or `error`) and then publishes with a release store to `state`;
@@ -62,7 +54,7 @@ std::vector<AdmissionDecision> BatchAdmissionController::admit_batch(
   while (next < n) {
     const std::size_t base = next;
     const std::size_t end = std::min(n, base + lookahead);
-    const std::uint64_t round_t0 = metered ? round_clock_ns() : 0;
+    const std::uint64_t round_t0 = metered ? obs::clock_ns() : 0;
     ROTA_OBS_SPAN_ARGS("batch.round", [&] {
       std::ostringstream args;
       args << "\"base\": " << base << ", \"pending\": " << (end - base)
@@ -207,7 +199,7 @@ std::vector<AdmissionDecision> BatchAdmissionController::admit_batch(
         }
       }
       m.batch_speculations_wasted.add(wasted);
-      m.batch_round_ns.record(round_clock_ns() - round_t0);
+      m.batch_round_ns.record(obs::clock_ns() - round_t0);
     }
   }
   return decisions;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "rota/admission/controller.hpp"
 #include "rota/computation/requirement.hpp"
 #include "rota/runtime/batch_controller.hpp"
 #include "rota/runtime/thread_pool.hpp"
@@ -99,6 +100,48 @@ TEST(Metrics, SnapshotJsonHasStableShape) {
   EXPECT_NE(json.find("\"counters\": {\"a.b\": 3}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\": {\"g\": 5}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"h\": {\"count\": 1"), std::string::npos) << json;
+}
+
+TEST(Metrics, KernelSeparatesUnknownRescuesAndTimesEveryRescue) {
+  // Two actors on one cpu, B capped at 1/tick: the sequential planner lets A
+  // drain the first ticks and starves B, so every request below is rescued.
+  const LocatedType cpu = LocatedType::cpu(Location("obs-rescue"));
+  auto rho = [&](const std::string& name, Quantity a, Quantity b, Tick end) {
+    Phase pa, pb;
+    pa.demand.add(cpu, a);
+    pb.demand.add(cpu, b);
+    const TimeInterval w(0, end);
+    return ConcurrentRequirement(
+        name, {ComplexRequirement(name + ".a", {pa}, w, 0),
+               ComplexRequirement(name + ".b", {pb}, w, 1)},
+        w);
+  };
+  auto supply = [&](Tick end) {
+    ResourceSet s;
+    s.add(2, TimeInterval(0, end), cpu);
+    return s;
+  };
+
+  obs::MetricsRegistry::global().reset();
+  obs::enable_metrics(true);
+  // Feasible (B drips 1 every tick, A absorbs the rest): rescued.
+  EXPECT_TRUE(RotaAdmissionController(CostModel{}, supply(3))
+                  .request(rho("fits", 3, 3, 3), 0)
+                  .accepted);
+  // Demand 7 over supply 6: proved infeasible.
+  EXPECT_FALSE(RotaAdmissionController(CostModel{}, supply(3))
+                   .request(rho("over", 4, 3, 3), 0)
+                   .accepted);
+  // The feasible shape over 600 ticks, past the probe's tick ceiling: the
+  // rescue gives up, so the rejection is "not shown feasible".
+  EXPECT_FALSE(RotaAdmissionController(CostModel{}, supply(600))
+                   .request(rho("wide", 600, 600, 600), 0)
+                   .accepted);
+  obs::enable_metrics(false);
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  EXPECT_EQ(snap.counter("plan.speculate.rescued"), 1u);
+  EXPECT_EQ(snap.counter("plan.speculate.rescue_unknown"), 1u);
+  EXPECT_EQ(snap.histograms.at("plan.rescue_ns").count, 3u);
 }
 
 // --------------------------------------------------------------------------

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "rota/admission/controller.hpp"
 #include "rota/computation/requirement.hpp"
 #include "rota/fuzz/exhaustive.hpp"
 #include "rota/logic/explorer.hpp"
 #include "rota/logic/model_checker.hpp"
 #include "rota/logic/planner.hpp"
+#include "rota/logic/symbolic/flow.hpp"
 
 namespace rota {
 namespace {
@@ -290,6 +293,137 @@ TEST_F(SymbolicTest, SymbolicPlanCoversDemandWithinWindows) {
       total += usage.integral();
     }
     EXPECT_EQ(total, 3) << "actor " << ap.actor;
+  }
+}
+
+// One e15 rescue (seed 2026, request 9959, shifted to start at tick 0): three
+// actors sharing one location's cpu and uplinks, with 3, 5 and 5 phases over
+// a 50-tick window. The greedy planner rejects it and the instance is
+// feasible. A cut search that checks the flow relaxation only after an
+// actor's last boundary took 13,235 nodes and 10,782 flow checks here;
+// checking after every boundary decides it in 37 nodes and 38 checks, and
+// finds the same first witness (the boundaries pinned below).
+class E15RescueTest : public ::testing::Test {
+ protected:
+  LocatedType cpu = LocatedType::cpu(Location("e15-l3"));
+  LocatedType link(const char* to) {
+    return LocatedType::network(Location("e15-l3"), Location(to));
+  }
+
+  ResourceSet supply() {
+    using Pieces = std::vector<std::tuple<Rate, Tick, Tick>>;  // rate@[from, to)
+    ResourceSet s;
+    auto add = [&](const LocatedType& type, const Pieces& pieces) {
+      for (const auto& [rate, from, to] : pieces) {
+        s.add(rate, TimeInterval(from, to), type);
+      }
+    };
+    add(cpu, {{6, 19, 20}, {7, 20, 23}, {5, 30, 31}, {8, 31, 33}, {7, 33, 34},
+              {5, 34, 36}, {6, 36, 37}, {4, 37, 38}, {6, 38, 42}, {10, 42, 44},
+              {11, 44, 45}, {12, 45, 46}, {11, 46, 47}, {12, 47, 48},
+              {11, 48, 49}, {12, 49, 50}});
+    add(link("e15-l2"), {{2, 0, 20}, {3, 20, 22}, {2, 22, 35}, {3, 35, 37},
+                         {2, 37, 50}});
+    add(link("e15-l5"), {{2, 0, 9}, {3, 11, 16}, {2, 16, 21}, {2, 23, 31},
+                         {3, 31, 42}, {2, 42, 50}});
+    add(link("e15-l7"), {{2, 0, 12}, {2, 15, 50}});
+    add(link("e15-l8"), {{2, 0, 39}, {3, 39, 46}, {2, 46, 50}});
+    add(link("e15-l4"), {{2, 0, 20}, {3, 20, 31}, {2, 31, 35}, {3, 35, 38},
+                         {4, 38, 44}, {3, 44, 45}, {2, 45, 50}});
+    return s;
+  }
+
+  ComplexRequirement actor(const std::string& name,
+                           const std::vector<std::pair<LocatedType, Quantity>>& phases) {
+    std::vector<Phase> ps;
+    for (const auto& [type, q] : phases) {
+      Phase p;
+      p.demand.add(type, q);
+      p.first_action = ps.size();
+      p.action_count = 1;
+      ps.push_back(p);
+    }
+    return ComplexRequirement(name, ps, window);
+  }
+
+  ConcurrentRequirement rho() {
+    return ConcurrentRequirement(
+        "job9959",
+        {actor("a0", {{cpu, 27}, {link("e15-l2"), 4}, {cpu, 24}}),
+         actor("a1", {{cpu, 1}, {link("e15-l5"), 4}, {cpu, 24},
+                      {link("e15-l7"), 4}, {link("e15-l8"), 4}}),
+         actor("a2", {{cpu, 24}, {link("e15-l8"), 4}, {cpu, 24},
+                      {link("e15-l4"), 4}, {cpu, 42}})},
+        window);
+  }
+
+  const TimeInterval window{0, 50};
+};
+
+TEST_F(E15RescueTest, MultiPhaseRescueIsPrunedBetweenBoundaries) {
+  EXPECT_FALSE(plan_concurrent(supply(), rho(), PlanningPolicy::kAsap));
+
+  SystemState s(supply(), 0);
+  s.accommodate(rho());
+  // The admission kernel's probe budget.
+  const FeasibilityOptions kernel_probe{20'000, 256};
+  const FeasibilityResult r = decide_feasibility(s, 50, kernel_probe);
+  ASSERT_EQ(r.verdict, FeasibilityVerdict::kFeasible);
+  EXPECT_EQ(r.stats.free_cuts, 10u);
+  EXPECT_LE(r.stats.nodes, 100u) << "pruning between boundaries regressed";
+  const std::vector<std::vector<Tick>> first_witness{
+      {0, 23, 25, 50}, {0, 31, 33, 38, 40, 50}, {0, 39, 41, 44, 46, 50}};
+  EXPECT_EQ(r.boundaries, first_witness);
+  const auto path = realize_feasibility(s, r);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_TRUE(path->back().all_finished());
+
+  FeasibilityVerdict verdict = FeasibilityVerdict::kUnknown;
+  const auto plan =
+      symbolic_concurrent_plan(supply(), rho(), 0, kernel_probe, &verdict);
+  EXPECT_EQ(verdict, FeasibilityVerdict::kFeasible);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_LE(plan->finish, 50);
+}
+
+TEST(MaxFlowTest, ResetSolverMatchesFreshSolver) {
+  // Two transportation-shaped graphs of different sizes: (from, to, cap).
+  using Edges = std::vector<std::tuple<std::size_t, std::size_t, std::int64_t>>;
+  const Edges big{{0, 1, 3}, {0, 2, 2}, {0, 3, 4}, {1, 4, 2}, {1, 5, 3},
+                  {2, 4, 2}, {3, 5, 1}, {3, 6, 4}, {4, 7, 3}, {5, 7, 3},
+                  {6, 7, 2}};
+  const Edges small{{0, 1, 5}, {0, 2, 1}, {1, 3, 2}, {2, 3, 4}, {1, 2, 3}};
+  struct Solved {
+    std::int64_t flow;
+    std::vector<std::int64_t> edge_flows;
+  };
+  auto solve = [](symbolic::MaxFlow& mf, std::size_t nodes, const Edges& edges) {
+    mf.reset(nodes);
+    std::vector<std::size_t> ids;
+    for (const auto& [from, to, cap] : edges) ids.push_back(mf.add_edge(from, to, cap));
+    Solved out{mf.solve(0, nodes - 1), {}};
+    for (std::size_t id : ids) out.edge_flows.push_back(mf.flow_on(id));
+    return out;
+  };
+  auto fresh = [&](std::size_t nodes, const Edges& edges) {
+    symbolic::MaxFlow mf;
+    return solve(mf, nodes, edges);
+  };
+
+  const Solved big_fresh = fresh(8, big);
+  const Solved small_fresh = fresh(4, small);
+  EXPECT_EQ(big_fresh.flow, 8);
+  EXPECT_EQ(small_fresh.flow, 6);
+
+  // One solver reused: larger graph, smaller, then the larger again.
+  symbolic::MaxFlow reused;
+  for (int round = 0; round < 2; ++round) {
+    const Solved a = solve(reused, 8, big);
+    EXPECT_EQ(a.flow, big_fresh.flow);
+    EXPECT_EQ(a.edge_flows, big_fresh.edge_flows);
+    const Solved b = solve(reused, 4, small);
+    EXPECT_EQ(b.flow, small_fresh.flow);
+    EXPECT_EQ(b.edge_flows, small_fresh.edge_flows);
   }
 }
 
