@@ -1,5 +1,6 @@
 #include "rota/admission/audit.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -78,10 +79,16 @@ std::size_t AuditLog::replay_into(CommitmentLedger& ledger) const {
   // revision-checked path or its conflict handling.
   const PlanningKernel kernel;
   std::size_t replayed = 0;
+  Tick last = ledger.now();
   for (const auto& e : entries_) {
+    last = std::max(last, e.at);
     if (!e.accepted || !e.plan) continue;
     if (kernel.replay(e.computation, e.window, *e.plan, ledger)) ++replayed;
   }
+  // The live ledger's clock stood at the last recorded decision, and it had
+  // expired everything before it: so does the rebuilt one.
+  ledger.advance_to(last);
+  ledger.expire();
   return replayed;
 }
 

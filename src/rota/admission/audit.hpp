@@ -58,9 +58,11 @@ class AuditLog {
   double mean_slack_fraction() const;
 
   /// Crash recovery: re-admits every retained accepted entry (in decision
-  /// order, with its recorded plan) into `ledger`. Replaying onto a fresh
-  /// ledger with the pre-crash supply reproduces the pre-crash residual and
-  /// — when the log retains the node's full history — its revision counter.
+  /// order, with its recorded plan) into `ledger`, then moves its clock to
+  /// the last recorded decision tick (never backwards) and expires it.
+  /// Replaying onto a fresh ledger with the pre-crash supply reproduces the
+  /// pre-crash residual as of that tick and — when the log retains the
+  /// node's full history — its revision counter.
   /// Returns the number of entries re-admitted; entries whose plan no longer
   /// fits (supply shrank since the crash) are skipped, never partially
   /// applied.

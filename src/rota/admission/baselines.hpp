@@ -41,17 +41,8 @@ class RotaStrategy final : public AdmissionStrategy {
         label_("rota-" + policy_name(policy)) {}
 
   std::string name() const override { return label_; }
-  /// The Theorem-4 decision, spelled in kernel vocabulary: speculate against
-  /// a snapshot of the residual, commit the result (re-speculating on the
-  /// stale case, which cannot arise in this sequential harness).
   AdmissionDecision request(const DistributedComputation& lambda, Tick now) override {
-    const ConcurrentRequirement rho =
-        make_concurrent_requirement(controller_.phi(), lambda);
-    for (;;) {
-      const PlanResult speculation = controller_.kernel().speculate(
-          rho, now, FeasibilitySnapshot::capture(controller_.ledger()));
-      if (auto decision = controller_.commit(speculation)) return *decision;
-    }
+    return controller_.request(lambda, now);
   }
   void on_join(const ResourceSet& joined) override { controller_.on_join(joined); }
 

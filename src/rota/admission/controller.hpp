@@ -27,7 +27,8 @@ class RotaAdmissionController {
         ledger_(std::move(initial_supply), now),
         kernel_(policy) {}
 
-  /// Decides (Λ, s, d) at time `now`. Advances the ledger clock.
+  /// Decides (Λ, s, d) at time `now`. Advances the ledger clock and expires
+  /// supply before it (PlanningKernel::decide).
   AdmissionDecision request(const DistributedComputation& lambda, Tick now);
 
   /// Decides an already-derived requirement (for callers with their own Φ).

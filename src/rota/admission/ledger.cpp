@@ -9,13 +9,16 @@ namespace rota {
 
 namespace {
 
-/// Shared bookkeeping for every residual-changing ledger operation:
-/// `counter` is the operation's event count, invoked only when metered.
-void note_revision(obs::Counter& (*counter)(obs::CoreMetrics&), std::uint64_t revision) {
+/// Shared bookkeeping for every residual-changing ledger operation, only when
+/// metered: bumps `counter` (the operation's event count; null when the
+/// operation has none) and refreshes the revision and residual-size gauges.
+void note_change(obs::Counter& (*counter)(obs::CoreMetrics&), std::uint64_t revision,
+                 const ResourceSet& residual) {
   if (!obs::metrics_enabled()) return;
   obs::CoreMetrics& m = obs::CoreMetrics::get();
-  counter(m).add();
+  if (counter != nullptr) counter(m).add();
   m.ledger_revision.set(static_cast<std::int64_t>(revision));
+  m.ledger_residual_segments.set(static_cast<std::int64_t>(residual.term_count()));
 }
 
 }  // namespace
@@ -31,18 +34,34 @@ void CommitmentLedger::bump_revision_all() {
   for (auto& r : shard_revisions_) ++r;
 }
 
+void CommitmentLedger::drop_lapsed() {
+  if (lapsed_before_ == kNothingLapsed) return;
+  supply_.drop_before(lapsed_before_);
+  residual_.drop_before(lapsed_before_);
+}
+
 void CommitmentLedger::join(const ResourceSet& joined) {
   ROTA_OBS_SPAN("ledger.join");
   supply_.union_with(joined);
   residual_.union_with(joined);
+  drop_lapsed();
   bump_revision(joined);
-  note_revision([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_joins; },
-                revision_);
+  note_change([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_joins; },
+              revision_, residual_);
 }
 
 void CommitmentLedger::advance_to(Tick t) {
   if (t < now_) throw std::logic_error("CommitmentLedger: time cannot move backwards");
   now_ = t;
+}
+
+void CommitmentLedger::expire() {
+  if (now_ <= lapsed_before_) return;
+  ROTA_OBS_SPAN("ledger.expire");
+  lapsed_before_ = now_;
+  drop_lapsed();
+  note_change([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_expiries; },
+              revision_, residual_);
 }
 
 bool CommitmentLedger::admit(const std::string& name, const TimeInterval& window,
@@ -54,8 +73,8 @@ bool CommitmentLedger::admit(const std::string& name, const TimeInterval& window
   residual_ = std::move(*next_residual);
   admitted_.push_back(AdmittedRecord{name, window, plan, now_});
   bump_revision(usage);
-  note_revision([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_admits; },
-                revision_);
+  note_change([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_admits; },
+              revision_, residual_);
   return true;
 }
 
@@ -72,8 +91,8 @@ bool CommitmentLedger::release(const std::string& name) {
   residual_.union_with(usage);
   admitted_.erase(it);
   bump_revision(usage);
-  note_revision([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_releases; },
-                revision_);
+  note_change([](obs::CoreMetrics& m) -> obs::Counter& { return m.ledger_releases; },
+              revision_, residual_);
   return true;
 }
 
@@ -85,6 +104,7 @@ bool CommitmentLedger::carve(const ResourceSet& slice) {
   residual_ = std::move(*next_residual);
   supply_ = std::move(*next_supply);
   bump_revision(slice);
+  note_change(nullptr, revision_, residual_);
   return true;
 }
 
@@ -95,10 +115,13 @@ void CommitmentLedger::merge(CommitmentLedger&& other) {
                    std::make_move_iterator(other.admitted_.begin()),
                    std::make_move_iterator(other.admitted_.end()));
   now_ = std::max(now_, other.now_);
+  lapsed_before_ = std::max(lapsed_before_, other.lapsed_before_);
+  drop_lapsed();
   other.supply_ = ResourceSet{};
   other.residual_ = ResourceSet{};
   other.admitted_.clear();
   bump_revision_all();
+  note_change(nullptr, revision_, residual_);
 }
 
 double CommitmentLedger::utilization(const LocatedType& type,

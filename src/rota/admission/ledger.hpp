@@ -6,9 +6,21 @@
 // newcomer against the residual, subtract its plan on success" is the online
 // form of Theorem 4's accommodation condition: existing commitments are
 // untouched by construction.
+//
+// The ledger's state is the paper's (Θ, ρ, t): supply, residual and a clock.
+// advance_to() only moves the clock; expire() applies the expiration
+// transition, dropping supply and residual before now() and recording that
+// point as lapsed_before(). From then on the ledger has forgotten the past:
+// join() drops joined supply before the lapse point, and a planner reading
+// the residual there sees nothing. Expiry bumps no revision — a speculation
+// whose window lies at or after the lapse point reads exactly what it read
+// before — so the planning kernel checks the lapse point separately (see
+// PlanningKernel::commit). Controllers expire after every decision; a ledger
+// nobody expires (the admission service's) keeps its whole history.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +40,9 @@ struct AdmittedRecord {
 
 class CommitmentLedger {
  public:
+  /// lapsed_before() of a ledger that has never expired anything.
+  static constexpr Tick kNothingLapsed = std::numeric_limits<Tick>::min();
+
   CommitmentLedger() = default;
   explicit CommitmentLedger(ResourceSet supply, Tick now = 0)
       : supply_(supply), residual_(std::move(supply)), now_(now) {}
@@ -39,9 +54,10 @@ class CommitmentLedger {
   /// plans on every request.
   const ResourceSet& residual() const { return residual_; }
 
-  /// Bumped whenever the residual changes (join/admit/release/carve/merge).
-  /// Optimistic readers — the batched admission pipeline — snapshot the
-  /// revision together with residual() and revalidate against it at commit.
+  /// Bumped whenever the residual changes (join/admit/release/carve/merge;
+  /// not expire, which only forgets the past). Optimistic readers — the
+  /// batched admission pipeline — snapshot the revision together with
+  /// residual() and revalidate against it at commit.
   std::uint64_t revision() const { return revision_; }
 
   /// Per-location-shard revision counters (see shard.hpp). A mutation bumps
@@ -56,13 +72,23 @@ class CommitmentLedger {
   }
 
   Tick now() const { return now_; }
+  /// Supply and residual hold nothing before this tick (kNothingLapsed until
+  /// the first expire()).
+  Tick lapsed_before() const { return lapsed_before_; }
   const std::vector<AdmittedRecord>& admitted() const { return admitted_; }
 
   /// Resource acquisition: new supply is immediately part of the residual.
+  /// Joined supply before lapsed_before() has already lapsed and is dropped.
   void join(const ResourceSet& joined);
 
-  /// Clock advance. Monotonic; throws on retrograde time.
+  /// Clock advance. Monotonic; throws on retrograde time. Forgets nothing:
+  /// see expire().
   void advance_to(Tick t);
+
+  /// The expiration transition: supply left unused before now() lapses.
+  /// Drops it from supply and residual and moves lapsed_before() to now().
+  /// Idempotent; bumps no revision.
+  void expire();
 
   /// Records an admission whose plan was computed against residual();
   /// subtracts the plan's usage. Returns false (ledger unchanged) if the
@@ -86,7 +112,9 @@ class CommitmentLedger {
   bool carve(const ResourceSet& slice);
 
   /// Absorbs another ledger: supply, residual and admitted records merge
-  /// (CyberOrgs assimilation). The other ledger is left empty.
+  /// (CyberOrgs assimilation), the clock and the lapse point move to the
+  /// later of the two, and merged supply before that lapse point is dropped.
+  /// The other ledger is left empty.
   void merge(CommitmentLedger&& other);
 
   std::size_t admitted_count() const { return admitted_.size(); }
@@ -97,11 +125,15 @@ class CommitmentLedger {
   /// Bumps the global revision plus every shard (structural operations whose
   /// footprint is not worth computing: merge).
   void bump_revision_all();
+  /// Drops supply and residual before lapsed_before_ (no-op until the first
+  /// expire()).
+  void drop_lapsed();
 
   ResourceSet supply_;
   ResourceSet residual_;
   std::vector<AdmittedRecord> admitted_;
   Tick now_ = 0;
+  Tick lapsed_before_ = kNothingLapsed;
   std::uint64_t revision_ = 0;
   ShardRevisions shard_revisions_{};
 };

@@ -25,7 +25,9 @@ SupplyDigest make_digest(const CommitmentLedger& ledger, Location site,
                          Tick now, std::size_t max_segments) {
   SupplyDigest digest;
   digest.site = site;
-  digest.free = compact_hull(ledger.residual().from(now), max_segments);
+  ResourceSet free = ledger.residual();
+  free.drop_before(now);
+  digest.free = compact_hull(free, max_segments);
   digest.revision = ledger.revision();
   digest.as_of = now;
   return digest;

@@ -130,6 +130,34 @@ void calculus_case(Gen& g, Recorder& rec) {
 
   const TimeInterval w = g.interval();
   rec.check("fn-restricted", diff_fn(f.restricted(w), fr.restricted(w)));
+  {
+    // drop_before() is the expiration transition: it must equal restriction
+    // to [t, ∞) whether t lies before the support, on a segment boundary,
+    // strictly inside a segment, or past the support.
+    const auto& segs = f.segments();
+    std::vector<Tick> cuts{lo - 1, hi};
+    if (!segs.empty()) {
+      const TimeInterval seg =
+          segs[static_cast<std::size_t>(
+                   g.rng().uniform(0, static_cast<std::int64_t>(segs.size()) - 1))]
+              .interval;
+      cuts = {segs.front().interval.start() - g.rng().uniform(0, 3),
+              g.rng().chance(0.5) ? seg.start() : seg.end(),
+              seg.length() > 1 ? seg.start() + g.rng().uniform(1, seg.length() - 1)
+                               : seg.start(),
+              segs.back().interval.end() + g.rng().uniform(0, 3)};
+    }
+    for (const Tick t : cuts) {
+      StepFunction cut = f;
+      cut.drop_before(t);
+      const auto at_t = [t](std::optional<std::string> mismatch) {
+        if (mismatch) *mismatch = "drop_before(" + std::to_string(t) + "): " + *mismatch;
+        return mismatch;
+      };
+      rec.check("fn-drop-before", at_t(diff_fn(cut, fr.restricted(TimeInterval(t, hi)))));
+      rec.check("fn-drop-before-canonical", at_t(check_canonical(cut)));
+    }
+  }
   rec.check("fn-clamped", diff_fn(f.clamped_nonnegative(), fr.clamped_nonnegative()));
   rec.expect("fn-min-value", f.min_value() == fr.min_value(), [&] {
     std::ostringstream out;
@@ -309,14 +337,15 @@ void calculus_case(Gen& g, Recorder& rec) {
   }
   {
     const Tick from = g.rng().uniform(Gen::term_lo(), Gen::term_hi());
-    const ResourceSet dropped = a.from(from);
+    ResourceSet dropped = a;
+    dropped.drop_before(from);
     DenseResources dropped_ref(lo, hi);
     for (const auto& [type, fn] : ar.entries()) {
-      DenseFn cut(lo, hi);
-      for (Tick t = from; t < hi; ++t) cut.set(t, fn.at(t));
-      dropped_ref.of(type) = cut;
+      dropped_ref.of(type) = fn.restricted(TimeInterval(from, hi));
     }
-    rec.check("res-from", diff_resources(dropped, dropped_ref));
+    rec.check("res-drop-before", diff_resources(dropped, dropped_ref));
+    // Includes the no-zero-profiles invariant: a type cut to nothing is gone.
+    rec.check("res-drop-before-canonical", check_canonical(dropped));
   }
   {
     const ResourceSet coarse = a.coarsened(factor);
@@ -579,7 +608,9 @@ void kernel_case(Gen& g, Recorder& rec) {
   }
 
   // WAL-replay audit: re-admitting the audited plans through the commit gate
-  // must reproduce the live residual exactly.
+  // must reproduce the live residual exactly. The live ledger has expired
+  // everything before its clock, and two residuals compare only at the same
+  // time t, so the rebuilt ledger moves to that clock and expires first.
   {
     CommitmentLedger rebuilt(supply, 0);
     const PlanningKernel kernel;
@@ -588,6 +619,8 @@ void kernel_case(Gen& g, Recorder& rec) {
                  kernel.replay(record.name, record.window, record.plan, rebuilt),
                  [&] { return "replay refused plan of " + record.name; });
     }
+    rebuilt.advance_to(seq.ledger().now());
+    rebuilt.expire();
     rec.expect("replay-residual", rebuilt.residual() == seq.ledger().residual(),
                [&] {
                  return std::string(
@@ -658,11 +691,13 @@ void kernel_case(Gen& g, Recorder& rec) {
 
   // Counter-offer audit: a rejection leaves the ledger untouched, and
   // accepting the suggested deadline by re-requesting must succeed (the offer
-  // was probed against this exact residual).
+  // was probed against this exact residual). "Untouched" is judged at the
+  // ledger's clock: a decision still expires supply before it.
   {
     const ConcurrentRequirement rho = g.requirement("offer");
     RotaAdmissionController ctl(CostModel{}, supply, PlanningPolicy::kAsap, 0);
-    const ResourceSet residual_before = ctl.ledger().residual();
+    ResourceSet residual_before = ctl.ledger().residual();
+    residual_before.drop_before(ctl.ledger().now());
     const std::size_t admitted_before = ctl.ledger().admitted_count();
     const Tick max_d = rho.window().end() + g.rng().uniform(2, 8);
     const CounterOffer offer = request_with_counter_offer(ctl, rho, 0, max_d);

@@ -56,11 +56,14 @@ ResourceSet ComputationPath::expiring_resources(std::size_t from_index,
 
   // Supply visible along the suffix: the origin's Θ (future part) plus any
   // joins applied later on the path, each visible from its join time.
-  ResourceSet supply = origin.theta().from(origin.now());
+  ResourceSet supply = origin.theta();
+  supply.drop_before(origin.now());
   for (std::size_t i = from_index; i < steps_.size(); ++i) {
     const auto* join = std::get_if<JoinStep>(&steps_[i]);
     if (join == nullptr) continue;
-    supply.union_with(join->joined.from(states_[i].now()));
+    ResourceSet joined = join->joined;
+    joined.drop_before(states_[i].now());
+    supply.union_with(joined);
   }
 
   // Remove what the path's commitments consume; the remainder expires.

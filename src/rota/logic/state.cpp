@@ -120,7 +120,7 @@ void SystemState::advance(const std::vector<ConsumptionLabel>& labels) {
   ++now_;  // everything unclaimed at the previous tick has now expired
 }
 
-void SystemState::garbage_collect() { theta_ = theta_.from(now_); }
+void SystemState::garbage_collect() { theta_.drop_before(now_); }
 
 bool SystemState::all_finished() const {
   for (const auto& p : commitments_) {

@@ -40,7 +40,9 @@ CoreMetrics& CoreMetrics::get() {
         r.counter("ledger.joins"),
         r.counter("ledger.admits"),
         r.counter("ledger.releases"),
+        r.counter("ledger.expiries"),
         r.gauge("ledger.revision"),
+        r.gauge("ledger.residual_segments"),
         r.counter("sim.ticks"),
         r.counter("sim.labels"),
         r.counter("sim.joins"),

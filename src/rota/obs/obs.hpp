@@ -135,7 +135,9 @@ struct CoreMetrics {
   Counter& ledger_joins;
   Counter& ledger_admits;
   Counter& ledger_releases;
-  Gauge& ledger_revision;  // last observed residual revision
+  Counter& ledger_expiries;          // expire() calls that moved the lapse point
+  Gauge& ledger_revision;            // last observed residual revision
+  Gauge& ledger_residual_segments;   // residual term count after its last change
 
   // Simulator.
   Counter& sim_ticks;

@@ -67,6 +67,7 @@ PlanResult speculate_against(const ConcurrentRequirement& rho, Tick at,
   result.computation = rho.name();
   result.at = at;
   result.revision = snapshot.revision();
+  result.lapsed_before = snapshot.lapsed_before();
   result.sharded = snapshot.has_shard_stamps();
   result.window = effective_window(rho, at);
   if (result.window.empty()) {
@@ -184,6 +185,14 @@ CommitStatus PlanningKernel::commit(const PlanResult& result,
                                     AdmissionDecision& out) const {
   ROTA_OBS_SPAN("plan.commit");
   const bool metered = obs::metrics_enabled();
+  if (result.lapsed_before < ledger.lapsed_before() && !result.window.empty() &&
+      result.window.start() < ledger.lapsed_before()) {
+    // Expiry bumps no revision, so this is the one staleness the stamps
+    // cannot see: the window reaches behind a lapse point the speculation
+    // did not know about, and its plan may use supply that has since lapsed.
+    if (metered) obs::CoreMetrics::get().plan_commit_stale.add();
+    return CommitStatus::kStale;
+  }
   if (result.revision != ledger.revision()) {
     // The global revision moved, but if every shard the speculation read is
     // untouched, replaying it against the live ledger would read the same
@@ -244,6 +253,7 @@ AdmissionDecision PlanningKernel::decide(CommitmentLedger& ledger,
     const PlanResult result = speculate(rho, at, snapshot);
     if (commit(result, ledger, decision) == CommitStatus::kCommitted) break;
   } while (true);
+  ledger.expire();
   return decision;
 }
 
@@ -257,6 +267,7 @@ bool PlanningKernel::replay(const std::string& computation,
   result.window = window;
   result.at = ledger.now();  // replay never advances the recovering clock
   result.revision = ledger.revision();
+  result.lapsed_before = ledger.lapsed_before();
   result.plan = plan;
   AdmissionDecision decision;
   if (commit(result, ledger, decision) != CommitStatus::kCommitted) return false;

@@ -17,16 +17,18 @@
 //
 //   commit(result, ledger)       — the only writer. Refuses (kStale, ledger
 //     untouched) whenever the result's revision no longer matches the
-//     ledger: a stale speculation is redone, never committed. On a matching
-//     revision it advances the ledger clock, subtracts the plan on accept,
-//     and issues the decision — FCFS order is whatever order the caller
-//     commits in.
+//     ledger, or its window starts behind a lapse point that moved after
+//     its snapshot was taken: a stale speculation is redone, never
+//     committed. Otherwise it advances the ledger clock, subtracts the plan
+//     on accept, and issues the decision — FCFS order is whatever order the
+//     caller commits in. commit() never expires the ledger: the admission
+//     service commits directly and keeps its whole history.
 //
 // decide() is the sequential composition (speculate against a fresh
-// snapshot, then commit; retry on the impossible-in-sequence stale case) and
-// replay() is the crash-recovery variant that re-admits an audited plan
-// through the same commit gate, so even a WAL rebuild cannot bypass the
-// revision-checked path.
+// snapshot, commit, then expire the ledger at its new clock; retry on the
+// impossible-in-sequence stale case) and replay() is the crash-recovery
+// variant that re-admits an audited plan through the same commit gate, so
+// even a WAL rebuild cannot bypass the revision-checked path.
 //
 // The kernel is also the observability choke point: plan.speculate.* and
 // plan.commit.* metrics plus the plan.speculate / plan.commit spans are
@@ -85,6 +87,7 @@ struct PlanResult {
   TimeInterval window;                 // effective (clipped) window
   Tick at = 0;                         // arrival tick used for clipping
   std::uint64_t revision = FeasibilitySnapshot::kDetachedRevision;
+  Tick lapsed_before = CommitmentLedger::kNothingLapsed;  // snapshot's lapse point
   std::optional<ConcurrentPlan> plan;  // present iff kFeasible
 
   // Shard-level staleness witness, populated when the snapshot carried shard
@@ -166,15 +169,20 @@ class PlanningKernel {
   std::optional<ActorPlan> speculate_actor(const ComplexRequirement& requirement,
                                            const FeasibilitySnapshot& snapshot) const;
 
-  /// Revision-checked commit. kStale ⇔ the result's revision no longer
-  /// matches the ledger (nothing issued — re-speculate). Otherwise advances
-  /// the ledger clock to the result's arrival tick and issues the decision
-  /// into `out`, subtracting the plan from the residual on accept.
+  /// Revision-checked commit. kStale (nothing issued — re-speculate) when
+  /// the result's revision no longer matches the ledger, or when its
+  /// non-empty window starts before the ledger's lapse point and that point
+  /// moved after the result's snapshot was taken (the speculation may have
+  /// planned on supply that has since lapsed). Otherwise advances the ledger
+  /// clock to the result's arrival tick and issues the decision into `out`,
+  /// subtracting the plan from the residual on accept. Never expires.
   CommitStatus commit(const PlanResult& result, CommitmentLedger& ledger,
                       AdmissionDecision& out) const;
 
-  /// speculate + commit against the live ledger: the sequential decision,
-  /// identical to the historical one-request-at-a-time controller.
+  /// speculate + commit against the live ledger, then expire it: the
+  /// sequential decision. On arrival-ordered input it is identical to a
+  /// ledger that never forgets, since no window reaches behind the clock; a
+  /// request arriving behind the clock plans only on supply at or after it.
   AdmissionDecision decide(CommitmentLedger& ledger,
                            const ConcurrentRequirement& rho, Tick at) const;
 

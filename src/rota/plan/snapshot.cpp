@@ -30,6 +30,7 @@ FeasibilitySnapshot FeasibilitySnapshot::capture(const CommitmentLedger& ledger)
   snap.shard_revisions_ = ledger.shard_revisions();
   snap.has_shard_stamps_ = true;
   snap.now_ = ledger.now();
+  snap.lapsed_before_ = ledger.lapsed_before();
   snap.pre_restricted_ = false;
   return snap;
 }
@@ -43,6 +44,7 @@ FeasibilitySnapshot FeasibilitySnapshot::capture(const CommitmentLedger& ledger,
   snap.shard_revisions_ = ledger.shard_revisions();
   snap.has_shard_stamps_ = true;
   snap.now_ = ledger.now();
+  snap.lapsed_before_ = ledger.lapsed_before();
   snap.pre_restricted_ = true;
   return snap;
 }
@@ -61,6 +63,7 @@ FeasibilitySnapshot FeasibilitySnapshot::capture(const CommitmentLedger& ledger,
   snap.shard_revisions_ = ledger.shard_revisions();
   snap.has_shard_stamps_ = true;
   snap.now_ = ledger.now();
+  snap.lapsed_before_ = ledger.lapsed_before();
   snap.pre_restricted_ = true;
   return snap;
 }
@@ -82,6 +85,7 @@ std::optional<FeasibilitySnapshot> FeasibilitySnapshot::minus(
   snap.owned_ = std::move(*next);
   snap.revision_ = kDetachedRevision;
   snap.now_ = now_;
+  snap.lapsed_before_ = lapsed_before_;
   snap.pre_restricted_ = pre_restricted_;
   return snap;
 }

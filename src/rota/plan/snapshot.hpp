@@ -27,6 +27,13 @@
 // ledger commit invalidates what capture(ledger) borrowed — the revision
 // stamp turns that staleness into a checkable property instead of a bug.
 //
+// A capture also freezes the ledger's lapse point (lapsed_before()). Expiry
+// bumps no revision, because it changes nothing at or after the lapse point;
+// what it does change — the residual before it — only matters to a request
+// whose window starts behind the clock, and the kernel refuses such a result
+// as stale once the lapse point has moved past its snapshot's (see
+// PlanningKernel::commit).
+//
 // The restriction cache memoizes restricted views by window, serving any
 // later window a cached view *contains* (containment is enough: planning
 // never reads outside the requirement window). A deadline search that probes
@@ -39,12 +46,12 @@
 #include <memory>
 #include <optional>
 
+#include "rota/admission/ledger.hpp"
 #include "rota/admission/shard.hpp"
 #include "rota/resource/resource_set.hpp"
 
 namespace rota {
 
-class CommitmentLedger;
 struct ConcurrentPlan;
 
 class FeasibilitySnapshot {
@@ -101,6 +108,10 @@ class FeasibilitySnapshot {
   /// Ledger clock (or caller-supplied `now`) at capture time.
   Tick now() const { return now_; }
 
+  /// The ledger's lapse point at capture time (kNothingLapsed when
+  /// detached): the view holds nothing before it.
+  Tick lapsed_before() const { return lapsed_before_; }
+
   /// The availability this snapshot stands for (hull-restricted when built
   /// with a hull).
   const ResourceSet& view() const { return borrowed_ ? *borrowed_ : owned_; }
@@ -122,6 +133,7 @@ class FeasibilitySnapshot {
   std::uint64_t revision_ = kDetachedRevision;
   ShardRevisions shard_revisions_{};       // frozen when has_shard_stamps_
   Tick now_ = 0;
+  Tick lapsed_before_ = CommitmentLedger::kNothingLapsed;
   bool pre_restricted_ = false;
   bool has_shard_stamps_ = false;
   std::shared_ptr<Cache> cache_;  // lazily grown, internally locked

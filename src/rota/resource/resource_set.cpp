@@ -185,8 +185,11 @@ bool ResourceSet::satisfies(const DemandSet& demand,
   return true;
 }
 
-ResourceSet ResourceSet::from(Tick t) const {
-  return restricted(TimeInterval(t, kTickMax));
+void ResourceSet::drop_before(Tick t) {
+  std::erase_if(by_type_, [t](Entry& e) {
+    e.second.drop_before(t);
+    return e.second.is_zero();
+  });
 }
 
 ResourceSet ResourceSet::coarsened(Tick factor) const {

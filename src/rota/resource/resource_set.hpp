@@ -107,9 +107,10 @@ class ResourceSet {
   /// set: every located quantity must be coverable within the window.
   bool satisfies(const DemandSet& demand, const TimeInterval& window) const;
 
-  /// Drops all supply strictly before `t` (resources in the past are gone —
-  /// used when advancing system states).
-  ResourceSet from(Tick t) const;
+  /// Drops all supply strictly before `t`, in place: the paper's expiration
+  /// transition (resources in the past are gone). Types left with nothing are
+  /// removed.
+  void drop_before(Tick t);
 
   /// Conservative coarse-granularity view: every type's profile downsampled
   /// to `factor`-tick buckets at the bucket minimum (see

@@ -192,11 +192,22 @@ StepFunction StepFunction::max(const StepFunction& other) const {
 StepFunction StepFunction::restricted(const TimeInterval& window) const {
   StepFunction result;
   for (const auto& seg : segments_) {
+    if (seg.interval.start() >= window.end()) break;  // sorted: nothing later overlaps
     const TimeInterval x = seg.interval.intersection(window);
     if (!x.empty()) result.segments_.push_back({x, seg.value});
   }
   result.normalize();
   return result;
+}
+
+void StepFunction::drop_before(Tick t) {
+  const auto cut = std::partition_point(
+      segments_.begin(), segments_.end(),
+      [t](const Segment& s) { return s.interval.end() <= t; });
+  if (cut != segments_.end() && cut->interval.start() < t) {
+    cut->interval = TimeInterval(t, cut->interval.end());
+  }
+  segments_.erase(segments_.begin(), cut);
 }
 
 StepFunction StepFunction::clamped_nonnegative() const {

@@ -68,6 +68,12 @@ class StepFunction {
   /// Restriction: equal to *this inside `window`, zero outside.
   StepFunction restricted(const TimeInterval& window) const;
 
+  /// In-place restriction to [t, ∞): the paper's expiration transition on one
+  /// located type — availability before `t` lapses. A binary search finds the
+  /// cut, the prefix is erased and a segment straddling `t` is split, so the
+  /// result stays canonical.
+  void drop_before(Tick t);
+
   /// Pointwise clamp to non-negative values.
   StepFunction clamped_nonnegative() const;
 

@@ -52,6 +52,9 @@ std::vector<AdmissionDecision> BatchAdmissionController::admit_batch(
 
   std::size_t next = 0;
   while (next < n) {
+    // Forget supply behind the clock before capturing, so the round's copy
+    // starts at the clock (sequentially, decide() has just done the same).
+    ledger_.expire();
     const std::size_t base = next;
     const std::size_t end = std::min(n, base + lookahead);
     const std::uint64_t round_t0 = metered ? obs::clock_ns() : 0;
@@ -64,11 +67,10 @@ std::vector<AdmissionDecision> BatchAdmissionController::admit_batch(
     });
 
     // Windows are clipped by each request's own arrival tick, exactly as the
-    // kernel's sequential decide() does — the ledger clock never affects
-    // decisions. The round shares one owned snapshot restricted to the hull
-    // of its windows and the union of its shard footprints; owning the view
-    // is what lets the committer mutate the ledger while lanes are still
-    // speculating against the frozen copy.
+    // kernel's sequential decide() does. The round shares one owned snapshot
+    // restricted to the hull of its windows and the union of its shard
+    // footprints; owning the view is what lets the committer mutate the
+    // ledger while lanes are still speculating against the frozen copy.
     TimeInterval hull;
     ShardMask round_mask = 0;
     for (std::size_t i = base; i < end; ++i) {
@@ -160,6 +162,15 @@ std::vector<AdmissionDecision> BatchAdmissionController::admit_batch(
           first_error = slot.error;
           break;
         }
+        if (state == SpecSlot::kReady && !slot.result.window.empty() &&
+            slot.result.window.start() < ledger_.now()) {
+          // An arrival behind the clock: the sequential controller plans it
+          // against a residual expired at the current clock. Expire first;
+          // if that moved the lapse point past the snapshot's, the kernel
+          // refuses the slot as stale and the next round re-speculates it
+          // against the trimmed residual.
+          ledger_.expire();
+        }
         if (state == SpecSlot::kSkipped ||
             kernel_.commit(slot.result, ledger_, decisions[i]) ==
                 CommitStatus::kStale) {
@@ -202,6 +213,7 @@ std::vector<AdmissionDecision> BatchAdmissionController::admit_batch(
       m.batch_round_ns.record(obs::clock_ns() - round_t0);
     }
   }
+  ledger_.expire();
   return decisions;
 }
 

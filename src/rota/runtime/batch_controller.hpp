@@ -33,12 +33,23 @@
 //               head slot is still in flight the committer helps speculate
 //               instead of blocking.
 //
+//   expire    — the ledger forgets supply behind its clock at the start of
+//               every round and when admit_batch returns, so each round's
+//               snapshot copies only live supply. A slot whose window starts
+//               behind the clock (an arrival that lags the requests already
+//               committed) expires the ledger before its commit; if that
+//               moved the lapse point, the kernel refuses the slot as stale
+//               and the next round re-speculates it against the trimmed
+//               residual, exactly as the sequential controller would have
+//               planned it. Arrival-ordered input never takes that path.
+//
 // Rejections — the common case under heavy traffic — never mutate the
 // residual, so arbitrarily long reject runs are decided from one snapshot
 // with full parallelism; and with shard salvage, accept traffic on one
 // location no longer serializes speculation on the others. The decision
-// sequence (accept set, plans, reasons) is identical, decision for decision,
-// to RotaAdmissionController processing the same requests one at a time.
+// sequence (accept set, plans, reasons) and the residual are identical,
+// decision for decision, to RotaAdmissionController processing the same
+// requests one at a time, in any arrival order.
 #pragma once
 
 #include <cstddef>

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "rota/computation/requirement.hpp"
+#include "rota/util/rng.hpp"
 #include "rota/workload/generator.hpp"
 
 namespace rota {
@@ -151,9 +153,9 @@ TEST(BatchControllerTest, ExpiredDeadlinesInsideBatch) {
   };
 
   // The second request arrives after its own deadline. The fourth arrives
-  // "at" tick 0 even though the batch clock has advanced past it — windows
-  // are clipped by the request's own arrival tick, never by the ledger
-  // clock, exactly as in the sequential controller.
+  // "at" tick 0 even though the batch clock has advanced past it — its window
+  // is clipped by its own arrival tick, but supply behind the clock has
+  // lapsed, exactly as in the sequential controller.
   std::vector<BatchRequest> requests = {
       {job("ok", 0, 10), 0},
       {job("late", 0, 4), 6},
@@ -199,6 +201,101 @@ TEST(BatchControllerTest, JoinsBetweenBatchesMatchSequential) {
 
   expect_identical(expected, actual, "joins-between-batches");
   EXPECT_EQ(sequential.ledger().residual(), batch.ledger().residual());
+}
+
+// Labeled `tsan` via the runtime suite: behind-the-clock arrivals make the
+// committer expire the ledger mid-round while lanes still speculate.
+TEST(BatchControllerTest, ArrivalJitteredParityAcrossJoins) {
+  const Tick horizon = 160;
+  std::size_t behind_the_clock = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    WorkloadConfig config;
+    config.seed = seed;
+    config.mean_interarrival = 3.0;
+    config.laxity = 1.6;
+    CostModel phi;
+    // Some requests reach the controller late: they keep their arrival tick
+    // but queue behind requests stamped up to 12 ticks after it, so the
+    // ledger clock has passed the start of their window when they are
+    // decided.
+    const auto in_order = make_requests(config, horizon, phi);
+    util::Rng rng(seed * 7919);
+    std::vector<std::pair<Tick, std::size_t>> queue;
+    for (std::size_t i = 0; i < in_order.size(); ++i) {
+      queue.emplace_back(in_order[i].at + (rng.chance(0.25) ? rng.uniform(1, 12) : 0), i);
+    }
+    std::stable_sort(queue.begin(), queue.end());
+    std::vector<BatchRequest> requests;
+    Tick clock = 0;
+    for (const auto& [delivered, i] : queue) {
+      requests.push_back(in_order[i]);
+      if (in_order[i].at < clock) ++behind_the_clock;
+      clock = std::max(clock, in_order[i].at);
+    }
+    const ResourceSet supply = supply_for(config, horizon, phi);
+    const std::size_t half = requests.size() / 2;
+    const std::vector<BatchRequest> first(requests.begin(), requests.begin() + half);
+    const std::vector<BatchRequest> second(requests.begin() + half, requests.end());
+    // Straddles the clock at the join: its first part has already lapsed.
+    ResourceSet extra;
+    extra.add(4, TimeInterval(horizon / 4, horizon),
+              LocatedType::cpu(WorkloadGenerator(config, phi).locations()[0]));
+
+    RotaAdmissionController sequential(phi, supply);
+    std::vector<AdmissionDecision> expected;
+    for (const auto& r : first) expected.push_back(sequential.request(r.rho, r.at));
+    const ResourceSet residual_at_join = sequential.ledger().residual();
+    sequential.on_join(extra);
+    for (const auto& r : second) expected.push_back(sequential.request(r.rho, r.at));
+
+    for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
+      const std::string where =
+          "seed=" + std::to_string(seed) + " lanes=" + std::to_string(lanes);
+      BatchAdmissionController batch(phi, supply, PlanningPolicy::kAsap, lanes);
+      auto actual = batch.admit_batch(first);
+      EXPECT_EQ(batch.ledger().residual(), residual_at_join) << where;
+      batch.on_join(extra);
+      for (auto& d : batch.admit_batch(second)) actual.push_back(std::move(d));
+      expect_identical(expected, actual, where);
+      EXPECT_EQ(batch.ledger().residual(), sequential.ledger().residual()) << where;
+      EXPECT_EQ(batch.ledger().now(), sequential.ledger().now()) << where;
+      EXPECT_EQ(batch.ledger().lapsed_before(), sequential.ledger().lapsed_before())
+          << where;
+    }
+  }
+  // The jitter must actually exercise the behind-the-clock path.
+  EXPECT_GT(behind_the_clock, 300u);
+}
+
+// Expiry keeps the live ledger at the size of its future, not its history:
+// several horizons of in-order arrivals leave the residual no larger than
+// one horizon's worth.
+TEST(BatchControllerTest, ResidualPlateausAcrossHorizons) {
+  WorkloadConfig config;
+  config.seed = 5;
+  config.mean_interarrival = 2.0;
+  config.laxity = 1.6;
+  CostModel phi;
+  const Tick window = 150;
+  const int horizons = 6;
+  const auto requests = make_requests(config, window * horizons, phi);
+  const ResourceSet supply = supply_for(config, window * (horizons + 1), phi);
+  BatchAdmissionController batch(phi, supply, PlanningPolicy::kAsap, 2);
+  std::vector<std::size_t> terms;
+  auto it = requests.begin();
+  for (int h = 1; h <= horizons; ++h) {
+    std::vector<BatchRequest> chunk;
+    for (; it != requests.end() && it->at < window * h; ++it) chunk.push_back(*it);
+    batch.admit_batch(chunk);
+    EXPECT_EQ(batch.ledger().lapsed_before(), batch.ledger().now());
+    terms.push_back(batch.ledger().residual().term_count());
+  }
+  ASSERT_GT(batch.ledger().admitted_count(), 50u);
+  const std::size_t first = terms.front();
+  ASSERT_GT(first, 0u);
+  for (std::size_t h = 1; h < terms.size(); ++h) {
+    EXPECT_LE(terms[h], 2 * first) << "after horizon " << h + 1;
+  }
 }
 
 TEST(BatchControllerTest, EmptyBatchIsANoOp) {

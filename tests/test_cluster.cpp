@@ -416,12 +416,16 @@ TEST(ClusterSim, RecoveredLedgerMatchesPreCrashState) {
   sim.run(40);
   const ClusterNode& node = sim.node(1);
   // The replayed ledger carries the pre-crash commitment, and replaying the
-  // surviving audit log onto a second fresh ledger reproduces it exactly.
+  // surviving audit log onto a second fresh ledger reproduces it exactly —
+  // compared at the same time t: the node's ledger has expired everything
+  // before its clock, so the reference moves there and expires too.
   ASSERT_EQ(node.ledger().admitted().size(), 1u);
   ResourceSet supply;
   supply.add(16, TimeInterval(0, 200), LocatedType::cpu(Location("cl-b")));
   CommitmentLedger reference(supply, 0);
   EXPECT_EQ(node.audit().replay_into(reference), 1u);
+  reference.advance_to(node.ledger().now());
+  reference.expire();
   EXPECT_EQ(reference.revision(), node.ledger().revision());
   EXPECT_EQ(reference.residual(), node.ledger().residual());
 }

@@ -113,5 +113,84 @@ TEST_F(LedgerTest, UtilizationTracksCommitments) {
   EXPECT_DOUBLE_EQ(ledger.utilization(cpu1, TimeInterval(50, 60)), 0.0);
 }
 
+TEST_F(LedgerTest, ExpireIsIdempotentAndLeavesRevisionAlone) {
+  CommitmentLedger ledger(supply(), 0);
+  EXPECT_EQ(ledger.lapsed_before(), CommitmentLedger::kNothingLapsed);
+  ledger.advance_to(4);
+  const std::uint64_t revision = ledger.revision();
+  ledger.expire();
+  EXPECT_EQ(ledger.lapsed_before(), 4);
+  EXPECT_EQ(ledger.revision(), revision);
+  EXPECT_EQ(ledger.residual().quantity(cpu1, TimeInterval(0, 4)), 0);
+  EXPECT_EQ(ledger.residual().quantity(cpu1, TimeInterval(4, 10)), 24);
+  EXPECT_EQ(ledger.supply(), ledger.residual());
+  const ResourceSet once = ledger.residual();
+  ledger.expire();
+  EXPECT_EQ(ledger.residual(), once);
+  EXPECT_EQ(ledger.lapsed_before(), 4);
+  EXPECT_EQ(ledger.revision(), revision);
+  // Expiring past the whole supply leaves nothing, not a zero profile.
+  ledger.advance_to(12);
+  ledger.expire();
+  EXPECT_TRUE(ledger.residual().types().empty());
+  EXPECT_TRUE(ledger.supply().types().empty());
+}
+
+TEST_F(LedgerTest, JoinAfterExpireDropsTheLapsedPart) {
+  CommitmentLedger ledger(supply(), 0);
+  ledger.advance_to(5);
+  ledger.expire();
+  ResourceSet extra;
+  extra.add(2, TimeInterval(2, 8), cpu1);
+  ledger.join(extra);
+  EXPECT_EQ(ledger.supply().availability(cpu1).value_at(3), 0);
+  EXPECT_EQ(ledger.residual().availability(cpu1).value_at(3), 0);
+  EXPECT_EQ(ledger.residual().availability(cpu1).value_at(6), 6);
+  EXPECT_EQ(ledger.supply().availability(cpu1).value_at(6), 6);
+  // Joining only lapsed supply adds nothing.
+  const ResourceSet before = ledger.residual();
+  ResourceSet stale;
+  stale.add(3, TimeInterval(0, 5), LocatedType::cpu(Location("lg-l2")));
+  ledger.join(stale);
+  EXPECT_EQ(ledger.residual(), before);
+}
+
+TEST_F(LedgerTest, ReleaseOfUnstartedComputationIsUnaffectedByExpire) {
+  CommitmentLedger ledger(supply(), 0);
+  ConcurrentPlan plan = plan_for(8, 6, 10, ledger.residual());
+  ASSERT_TRUE(ledger.admit("x", TimeInterval(6, 10), plan));
+  ledger.advance_to(3);
+  ledger.expire();
+  EXPECT_TRUE(ledger.release("x"));
+  EXPECT_EQ(ledger.residual(), ledger.supply());
+  EXPECT_EQ(ledger.residual().quantity(cpu1, TimeInterval(0, 10)), 28);
+}
+
+TEST_F(LedgerTest, MergeKeepsTheLaterLapsePoint) {
+  CommitmentLedger early(supply(), 0);
+  early.advance_to(2);
+  early.expire();
+  ResourceSet other_supply;
+  other_supply.add(1, TimeInterval(0, 10), LocatedType::cpu(Location("lg-l2")));
+  CommitmentLedger late(other_supply, 0);
+  late.advance_to(6);
+  late.expire();
+
+  early.merge(std::move(late));
+  EXPECT_EQ(early.lapsed_before(), 6);
+  EXPECT_EQ(early.now(), 6);
+  // The absorbing ledger's own past before the later point is gone too.
+  EXPECT_EQ(early.residual().quantity(cpu1, TimeInterval(0, 10)), 16);
+  EXPECT_EQ(early.residual().term_count(), 2u);
+
+  CommitmentLedger fresh(supply(), 0);
+  CommitmentLedger expired(ResourceSet{}, 0);
+  expired.advance_to(3);
+  expired.expire();
+  expired.merge(std::move(fresh));
+  EXPECT_EQ(expired.lapsed_before(), 3);
+  EXPECT_EQ(expired.residual().quantity(cpu1, TimeInterval(0, 10)), 28);
+}
+
 }  // namespace
 }  // namespace rota

@@ -228,6 +228,56 @@ TEST(PlanKernelStaleness, DetachedSnapshotsNeverCommit) {
   EXPECT_EQ(controller.ledger().admitted_count(), 0u);
 }
 
+TEST(PlanKernelStaleness, WindowBehindAMovedLapsePointIsStale) {
+  Location site("stale-l4");
+  CostModel phi;
+  ResourceSet supply;
+  supply.add(10, TimeInterval(0, 100), LocatedType::cpu(site));
+  CommitmentLedger ledger(supply, 0);
+  const PlanningKernel kernel;
+  const ConcurrentRequirement behind =
+      make_concurrent_requirement(phi, simple_job("behind", site, 0, 60));
+  const ConcurrentRequirement ahead =
+      make_concurrent_requirement(phi, simple_job("ahead", site, 8, 60));
+
+  // Both speculate against one snapshot taken before the ledger forgets.
+  const FeasibilitySnapshot before = FeasibilitySnapshot::capture(ledger);
+  const PlanResult spec_behind = kernel.speculate(behind, 2, before);
+  const PlanResult spec_ahead = kernel.speculate(ahead, 8, before);
+  ASSERT_TRUE(spec_behind.feasible());
+  ASSERT_TRUE(spec_ahead.feasible());
+  EXPECT_EQ(spec_behind.lapsed_before, CommitmentLedger::kNothingLapsed);
+
+  // The clock reaches 5 and [0, 5) lapses. No revision moves, so only the
+  // lapse point can tell that [2, 60) was planned on supply now gone.
+  ledger.advance_to(5);
+  const std::uint64_t revision = ledger.revision();
+  ledger.expire();
+  ASSERT_EQ(ledger.revision(), revision);
+  AdmissionDecision out;
+  EXPECT_EQ(kernel.commit(spec_behind, ledger, out), CommitStatus::kStale);
+  EXPECT_EQ(ledger.admitted_count(), 0u);
+  EXPECT_EQ(ledger.now(), 5);
+
+  // A window at or after the lapse point read nothing that lapsed.
+  ASSERT_EQ(kernel.commit(spec_ahead, ledger, out), CommitStatus::kCommitted);
+  EXPECT_TRUE(out.accepted);
+
+  // Re-speculated against the trimmed residual, the late arrival commits:
+  // its snapshot already knew the lapse point.
+  const PlanResult redo =
+      kernel.speculate(behind, 2, FeasibilitySnapshot::capture(ledger));
+  EXPECT_EQ(redo.lapsed_before, 5);
+  ASSERT_EQ(kernel.commit(redo, ledger, out), CommitStatus::kCommitted);
+  EXPECT_TRUE(out.accepted);
+  for (const ActorPlan& a : out.plan->actors) {
+    for (const auto& [type, usage] : a.usage) {
+      ASSERT_FALSE(usage.is_zero());
+      EXPECT_GE(usage.segments().front().interval.start(), 5);
+    }
+  }
+}
+
 TEST(PlanKernelStaleness, StalenessRedoAndAuditReplayConverge) {
   // The mid-batch shape, spelled out by hand: two speculations against one
   // snapshot, commit the first (revision moves), the second must be redone.

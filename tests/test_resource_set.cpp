@@ -194,11 +194,17 @@ TEST_F(ResourceSetTest, Restricted) {
   EXPECT_EQ(r.quantity(net12, TimeInterval(0, 100)), 0);
 }
 
-TEST_F(ResourceSetTest, FromDropsThePast) {
+TEST_F(ResourceSetTest, DropBeforeDropsThePast) {
   ResourceSet s;
   s.add(5, TimeInterval(0, 10), cpu1);
-  ResourceSet future = s.from(6);
-  EXPECT_EQ(future.quantity(cpu1, TimeInterval(0, 100)), 20);
+  s.add(2, TimeInterval(0, 4), net12);
+  s.drop_before(6);
+  EXPECT_EQ(s.quantity(cpu1, TimeInterval(0, 100)), 20);
+  // A type with nothing left is gone, not kept as a zero profile.
+  EXPECT_EQ(s.types(), std::vector<LocatedType>{cpu1});
+  s.drop_before(10);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s, ResourceSet{});
 }
 
 TEST_F(ResourceSetTest, Horizon) {

@@ -156,6 +156,23 @@ TEST(StepFunction, Restricted) {
   EXPECT_EQ(r.integral(), 4);
 }
 
+TEST(StepFunction, DropBeforeCutsInPlace) {
+  StepFunction f(TimeInterval(0, 4), 2);
+  f.add(TimeInterval(4, 8), 5);
+  StepFunction before = f;
+  before.drop_before(-3);  // before the support: untouched
+  EXPECT_EQ(before, f);
+  StepFunction boundary = f;
+  boundary.drop_before(4);  // on a boundary: the first segment goes whole
+  EXPECT_EQ(boundary, StepFunction(TimeInterval(4, 8), 5));
+  StepFunction inside = f;
+  inside.drop_before(6);  // inside a segment: it is split
+  EXPECT_EQ(inside, StepFunction(TimeInterval(6, 8), 5));
+  StepFunction after = f;
+  after.drop_before(8);  // at or past the end: the zero function
+  EXPECT_TRUE(after.is_zero());
+}
+
 TEST(StepFunction, ClampedNonnegative) {
   StepFunction f(TimeInterval(0, 4), 2);
   StepFunction g = f.minus(StepFunction(TimeInterval(2, 6), 5)).clamped_nonnegative();
