@@ -86,6 +86,10 @@ struct Collector {
   std::vector<AdmitResponse> responses;
 };
 
+std::uint64_t max_queue_depth(const obs::MetricsSnapshot& stats) {
+  return static_cast<std::uint64_t>(stats.gauges.at("service.max_queue_depth"));
+}
+
 struct PhaseReport {
   std::size_t requests = 0;
   std::size_t accepted = 0;
@@ -97,7 +101,8 @@ struct PhaseReport {
   std::uint64_t max_queue_depth = 0;
 };
 
-PhaseReport report_of(const Collector& collected, const ServiceStats& stats) {
+PhaseReport report_of(const Collector& collected,
+                      const obs::MetricsSnapshot& stats) {
   PhaseReport r;
   r.requests = collected.responses.size();
   r.accepted = collected.with_verdict(Verdict::kAccepted);
@@ -106,10 +111,11 @@ PhaseReport report_of(const Collector& collected, const ServiceStats& stats) {
   r.by_exact = collected.served_by("exact");
   r.by_digest = collected.served_by("digest");
   r.by_greedy = collected.served_by("greedy");
-  r.p99_planning_ns = stats.planning_ns.quantile_upper_bound(0.99);
-  r.demotions = stats.demotions;
-  r.promotions = stats.promotions;
-  r.max_queue_depth = stats.max_queue_depth;
+  r.p99_planning_ns =
+      stats.histograms.at("service.planning_ns").quantile_upper_bound(0.99);
+  r.demotions = stats.counter("service.demotions");
+  r.promotions = stats.counter("service.promotions");
+  r.max_queue_depth = max_queue_depth(stats);
   return r;
 }
 
@@ -193,7 +199,7 @@ int main(int argc, char** argv) {
     collected.await(arrivals.size());
     light = report_of(collected, svc.stats());
     svc.drain_and_stop();
-    if (svc.stats().revalidations_failed != 0) {
+    if (svc.stats().counter("service.revalidations_failed") != 0) {
       std::cerr << "FATAL: light phase revalidation failures\n";
       return 1;
     }
@@ -279,7 +285,7 @@ int main(int argc, char** argv) {
     Tick calm_at = 0;
     for (const Arrival& a : arrivals) calm_at = std::max(calm_at, a.at);
     Collector calm_collected;
-    const ServiceStats before_calm = svc.stats();
+    const std::uint64_t depth_before_calm = max_queue_depth(svc.stats());
     for (std::size_t i = 0; i < calm_n; ++i) {
       calm_at += calm_gap;
       AdmitRequest request;
@@ -295,11 +301,11 @@ int main(int argc, char** argv) {
     calm = report_of(calm_collected, svc.stats());
     calm.demotions -= flash.demotions;    // phase-local deltas
     calm.promotions -= flash.promotions;
-    calm.max_queue_depth = before_calm.max_queue_depth;
+    calm.max_queue_depth = depth_before_calm;
     final_level = static_cast<int>(svc.governor().level());
 
     svc.drain_and_stop();
-    revalidations = svc.stats().revalidations_failed;
+    revalidations = svc.stats().counter("service.revalidations_failed");
   }
   print_phase("flash", flash);
   print_phase("calm", calm);

@@ -171,14 +171,18 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - bench_start).count();
 
   // The daemon shutdown order: federation first, then each service drains.
-  const FederationStats fa = a.federation->stats();
-  const FederationStats fb = b.federation->stats();
   a.federation->stop();
   b.federation->stop();
   a.service.drain_and_stop();
   b.service.drain_and_stop();
-  const std::uint64_t revalidations = a.service.stats().revalidations_failed +
-                                      b.service.stats().revalidations_failed;
+  const obs::MetricsSnapshot sa = a.service.stats();
+  const obs::MetricsSnapshot sb = b.service.stats();
+  const std::uint64_t forwarded = sa.counter("service.forwarded");
+  const std::uint64_t forward_accepts = sa.counter("service.forward_accepts");
+  const std::uint64_t forward_rejects = sa.counter("service.forward_rejects");
+  const std::uint64_t peer_claims = sb.counter("service.peer_claims");
+  const std::uint64_t revalidations = sa.counter("service.revalidations_failed") +
+                                      sb.counter("service.revalidations_failed");
 
   std::sort(latencies_ms.begin(), latencies_ms.end());
   const double p50 = percentile(latencies_ms, 0.50);
@@ -188,7 +192,7 @@ int main(int argc, char** argv) {
   std::printf("e20_federation: %zu forwards (%zu peer-accepted), "
               "%zu/%zu local at B, %llu peer claims\n",
               n, forward_accepted, local_accepted, n,
-              static_cast<unsigned long long>(fb.peer_claims));
+              static_cast<unsigned long long>(peer_claims));
   std::printf("forward round trip: p50 %.2fms  p99 %.2fms  max %.2fms\n",
               p50, p99, max_ms);
 
@@ -197,14 +201,14 @@ int main(int argc, char** argv) {
               << " forwards were peer-accepted\n";
     return 1;
   }
-  if (fa.forwarded != n || fa.forward_accepts != n || fa.forward_rejects != 0) {
-    std::cerr << "FATAL: forward accounting off (forwarded " << fa.forwarded
-              << ", accepts " << fa.forward_accepts << ", rejects "
-              << fa.forward_rejects << ")\n";
+  if (forwarded != n || forward_accepts != n || forward_rejects != 0) {
+    std::cerr << "FATAL: forward accounting off (forwarded " << forwarded
+              << ", accepts " << forward_accepts << ", rejects "
+              << forward_rejects << ")\n";
     return 1;
   }
-  if (fb.peer_claims != n) {
-    std::cerr << "FATAL: B committed " << fb.peer_claims
+  if (peer_claims != n) {
+    std::cerr << "FATAL: B committed " << peer_claims
               << " peer claims, expected " << n << "\n";
     return 1;
   }
@@ -224,10 +228,10 @@ int main(int argc, char** argv) {
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"host_cpus\": " << host_cpus() << ",\n"
       << "  \"nodes\": 2,\n"
-      << "  \"forwarded\": " << fa.forwarded << ",\n"
-      << "  \"forward_accepts\": " << fa.forward_accepts << ",\n"
-      << "  \"forward_rejects\": " << fa.forward_rejects << ",\n"
-      << "  \"peer_claims\": " << fb.peer_claims << ",\n"
+      << "  \"forwarded\": " << forwarded << ",\n"
+      << "  \"forward_accepts\": " << forward_accepts << ",\n"
+      << "  \"forward_rejects\": " << forward_rejects << ",\n"
+      << "  \"peer_claims\": " << peer_claims << ",\n"
       << "  \"local_requests\": " << n << ",\n"
       << "  \"local_accepted\": " << local_accepted << ",\n"
       << "  \"revalidations_failed\": " << revalidations << ",\n"

@@ -14,7 +14,8 @@
 //
 // Set ROTA_TRACE=/path/trace.json to record a Chrome trace of the run
 // (plan.speculate / plan.commit spans from the lanes; load it in
-// chrome://tracing or Perfetto to watch the governor demote under load).
+// chrome://tracing or Perfetto). Its metrics dump holds the global registry
+// (plan.*, ledger.*) merged with the service's own service.* snapshot.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -186,30 +187,37 @@ int main(int argc, char** argv) {
   if (federation) federation->stop();
   server.stop();  // clean drain: every queued request is answered
 
-  const ServiceStats stats = service.stats();
-  std::cout << "rota_served: served " << stats.requests << " requests ("
-            << stats.accepted << " accepted, " << stats.rejected << " rejected, "
-            << stats.shed() << " shed), demotions " << stats.demotions
-            << ", promotions " << stats.promotions << ", max queue depth "
-            << stats.max_queue_depth << "\n";
+  const obs::MetricsSnapshot stats = service.stats();
+  const auto count = [&stats](const char* name) { return stats.counter(name); };
+  std::cout << "rota_served: served " << count("service.requests")
+            << " requests (" << count("service.accepted") << " accepted, "
+            << count("service.rejected") << " rejected, "
+            << count("service.shed_queue") + count("service.shed_budget")
+            << " shed), demotions " << count("service.demotions")
+            << ", promotions " << count("service.promotions")
+            << ", max queue depth " << stats.gauges.at("service.max_queue_depth")
+            << "\n";
   if (federation) {
-    const FederationStats fstats = federation->stats();
-    std::cout << "rota_served: federation forwarded " << fstats.forwarded
-              << " (" << fstats.forward_accepts << " peer-accepted, "
-              << fstats.forward_rejects << " rejected), served "
-              << fstats.peer_claims << " peer claims\n";
+    std::cout << "rota_served: federation forwarded " << count("service.forwarded")
+              << " (" << count("service.forward_accepts") << " peer-accepted, "
+              << count("service.forward_rejects") << " rejected), served "
+              << count("service.peer_claims") << " peer claims\n";
   }
 
   if (recorder) {
-    const auto metrics = obs::MetricsRegistry::global().snapshot();
+    // The global registry (planning kernel, ledger) and the service's own.
+    obs::MetricsSnapshot metrics = obs::MetricsRegistry::global().snapshot();
+    metrics.counters.insert(stats.counters.begin(), stats.counters.end());
+    metrics.gauges.insert(stats.gauges.begin(), stats.gauges.end());
+    metrics.histograms.insert(stats.histograms.begin(), stats.histograms.end());
     recorder->uninstall();
     if (recorder->write_chrome_json(*trace_path, &metrics)) {
       std::cout << "rota_served: wrote trace to " << *trace_path << "\n";
     }
   }
 
-  if (stats.revalidations_failed != 0) {
-    std::cerr << "rota_served: FATAL — " << stats.revalidations_failed
+  if (const std::uint64_t failed = count("service.revalidations_failed")) {
+    std::cerr << "rota_served: FATAL — " << failed
               << " degraded accepts were refused by the live residual\n";
     return 1;
   }

@@ -7,11 +7,11 @@
 //   * BatchNodeAdmission (below): the node owns its ledger via a
 //     BatchAdmissionController — the deterministic in-sim configuration,
 //     byte-identical to the historical controller-owning ClusterNode;
-//   * service::ServiceNodeAdmission: the node borrows the live
-//     AdmissionService's sharded ledger, serializing probes and claims
-//     through the same mutex the serving lanes use — the daemon
-//     configuration, where federation and live traffic must agree on one
-//     residual.
+//   * service::ServiceNodeAdmission: the node plans against the live
+//     AdmissionService's sharded ledger, capturing owned snapshots and
+//     committing through the same steps the serving lanes use, and
+//     speculating concurrently with them — the daemon configuration, where
+//     federation and live traffic must agree on one residual.
 //
 // The contract mirrors the protocol's semantics: probe() is speculative and
 // reserves nothing; claim() re-validates against the live residual and

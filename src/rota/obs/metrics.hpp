@@ -9,9 +9,11 @@
 // synchronization; a snapshot taken while writers run is a consistent
 // "some recent value" per instrument.
 //
-// Recording is gated by the process-wide toggle in rota/obs/obs.hpp; with
-// metrics disabled an instrumented hot path pays one relaxed load and a
-// predictable branch.
+// The built-in instrumentation records into MetricsRegistry::global(), gated
+// by the process-wide toggle in rota/obs/obs.hpp; with metrics disabled an
+// instrumented hot path pays one relaxed load and a predictable branch. A
+// component may also own a registry of its own and record into it ungated
+// (the admission service does: its stats() is a snapshot of one).
 #pragma once
 
 #include <array>
@@ -55,11 +57,19 @@ class Counter {
   std::array<Shard, kMetricShards> shards_;
 };
 
-/// Last-writer-wins instantaneous value (e.g. a revision, a lane count).
+/// Last-writer-wins instantaneous value (e.g. a revision, a lane count), or
+/// a high-water mark through set_max().
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  /// Raises the value to `v` if it is larger (a running maximum).
+  void set_max(std::int64_t v) {
+    std::int64_t prev = v_.load(std::memory_order_relaxed);
+    while (prev < v &&
+           !v_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+    }
+  }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 

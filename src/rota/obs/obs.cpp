@@ -70,23 +70,6 @@ CoreMetrics& CoreMetrics::get() {
         r.counter("transport.received"),
         r.counter("transport.connects"),
         r.counter("transport.auth_failures"),
-        r.counter("service.requests"),
-        r.counter("service.shed"),
-        r.counter("service.accepted"),
-        r.counter("service.rejected"),
-        r.counter("service.demotions"),
-        r.counter("service.promotions"),
-        r.counter("service.budget_cancels"),
-        r.counter("service.revalidations_failed"),
-        r.counter("service.forwarded"),
-        r.counter("service.forward_accepts"),
-        r.counter("service.peer_claims"),
-        r.gauge("service.queue_depth"),
-        r.gauge("service.level"),
-        r.histogram("service.latency.exact_ns"),
-        r.histogram("service.latency.digest_ns"),
-        r.histogram("service.latency.greedy_ns"),
-        r.histogram("service.queue_ns"),
     };
   }();
   return metrics;

@@ -17,6 +17,11 @@
 //     honor it (bench/e15_throughput, examples) enable both and write the
 //     Chrome-trace JSON artifact to that path.
 //
+// The admission service (rota/service/) is not instrumented here: it counts
+// into a MetricsRegistry of its own, always on, and its service.* names never
+// reach the global registry. Binaries that dump both (rota_served under
+// ROTA_TRACE) merge the two snapshots.
+//
 // Metric names and the span taxonomy are documented in docs/observability.md.
 #pragma once
 
@@ -175,27 +180,6 @@ struct CoreMetrics {
   Counter& transport_received;      // messages decoded off peer sockets
   Counter& transport_connects;      // outbound peer connections established
   Counter& transport_auth_failures; // inbound sessions refused (bad hello)
-
-  // Admission service (the long-running daemon in rota/service/).
-  Counter& service_requests;        // requests accepted into the queue
-  Counter& service_shed;            // kOverloaded responses (queue full, or
-                                    // budget exhausted before any verdict)
-  Counter& service_accepted;        // admission accepts served
-  Counter& service_rejected;        // admission rejects served
-  Counter& service_demotions;       // governor moved down the ladder
-  Counter& service_promotions;      // governor moved back up
-  Counter& service_budget_cancels;  // speculations cancelled mid-flight
-  Counter& service_revalidations_failed;  // degraded accept refused by the
-                                          // ledger at commit (must stay 0)
-  Counter& service_forwarded;       // locally-shed work handed to the cluster
-  Counter& service_forward_accepts; // forwarded work a peer admitted
-  Counter& service_peer_claims;     // claims admitted here for remote peers
-  Gauge& service_queue_depth;       // admission queue depth (backpressure in)
-  Gauge& service_level;             // governor ladder rung (0 exact..2 greedy)
-  Histogram& service_latency_exact_ns;   // planning wall time per strategy
-  Histogram& service_latency_digest_ns;
-  Histogram& service_latency_greedy_ns;
-  Histogram& service_queue_ns;      // per-request time spent queued
 
   static CoreMetrics& get();
 };

@@ -4,34 +4,25 @@
 #include <stdexcept>
 
 #include "rota/cluster/digest.hpp"
-#include "rota/obs/obs.hpp"
 
 namespace rota::service {
 
 // --- ServiceNodeAdmission ---------------------------------------------------
 
+ServiceNodeAdmission::ServiceNodeAdmission(AdmissionService& service)
+    : service_(service),
+      peer_claims_(service.metrics().counter("service.peer_claims")) {}
+
 AdmissionDecision ServiceNodeAdmission::decide(const ConcurrentRequirement& rho,
                                                Tick now) {
-  // The planning lanes' loop: capture under the ledger mutex, speculate
-  // outside it, commit under it again; a stale commit re-captures. This is
-  // what makes a peer claim and a concurrently-served local request agree on
-  // one residual.
+  // The planning lanes' loop: capture an owned snapshot under the ledger
+  // mutex, speculate outside it, commit under it again; a stale commit
+  // re-captures. This is what makes a peer claim and a concurrently-served
+  // local request agree on one residual.
   for (;;) {
-    FeasibilitySnapshot snapshot;
-    {
-      std::lock_guard<std::mutex> lock(service_.ledger_mutex());
-      snapshot = FeasibilitySnapshot::capture(service_.shared_ledger());
-    }
-    const PlanResult result =
-        service_.planning_kernel().speculate(rho, now, snapshot);
+    const PlanResult result = probe(rho, now);
     AdmissionDecision decision;
-    CommitStatus committed;
-    {
-      std::lock_guard<std::mutex> lock(service_.ledger_mutex());
-      committed = service_.planning_kernel().commit(
-          result, service_.shared_ledger(), decision);
-    }
-    if (committed == CommitStatus::kStale) continue;
+    if (service_.commit(result, decision) == CommitStatus::kStale) continue;
     return decision;
   }
 }
@@ -50,24 +41,16 @@ std::vector<AdmissionDecision> ServiceNodeAdmission::admit_batch(
 
 PlanResult ServiceNodeAdmission::probe(const ConcurrentRequirement& rho,
                                        Tick now) {
-  FeasibilitySnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(service_.ledger_mutex());
-    snapshot = FeasibilitySnapshot::capture(service_.shared_ledger());
-  }
+  // Owned, not borrowed: a lane may commit (and rewrite the residual) while
+  // this speculation runs.
+  const FeasibilitySnapshot snapshot = service_.capture(rho, now);
   return service_.planning_kernel().speculate(rho, now, snapshot);
 }
 
 AdmissionDecision ServiceNodeAdmission::claim(const ConcurrentRequirement& rho,
                                               Tick now) {
   AdmissionDecision decision = decide(rho, now);
-  if (decision.accepted) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++peer_claims_admitted_;
-    }
-    obs::count(obs::CoreMetrics::get().service_peer_claims);
-  }
+  if (decision.accepted) peer_claims_.add();
   return decision;
 }
 
@@ -120,6 +103,10 @@ FederatedService::FederatedService(AdmissionService& service,
       config_(std::move(config)),
       transport_(config_.transport),
       admission_(service),
+      forwarded_(service.metrics().counter("service.forwarded")),
+      forward_accepts_(service.metrics().counter("service.forward_accepts")),
+      forward_rejects_(service.metrics().counter("service.forward_rejects")),
+      forward_expired_(service.metrics().counter("service.forward_expired")),
       node_(config_.transport.local, Location(config_.site), service.phi(),
             daemon_node_config(config_.node), &events_, &transport_,
             &admission_) {
@@ -170,8 +157,7 @@ void FederatedService::forward(const WorkSpec& spec, const AdmitResponse& local,
         (static_cast<std::uint64_t>(node_.id()) << 32) | ++next_job_;
     pending_[job] = PendingForward{local.id, std::move(done),
                                    spec.deadline + config_.node.claim_timeout};
-    ++forwarded_;
-    obs::count(obs::CoreMetrics::get().service_forwarded);
+    forwarded_.add();
     node_.submit_remote(job, spec, local.reason, now);
     // submit_remote may decide synchronously (no eligible peer): resolve now
     // so the caller is never left waiting on a decision already made.
@@ -192,11 +178,10 @@ FederatedService::Ready FederatedService::resolve_decisions_locked() {
     if (d.outcome == cluster::Placement::kRejected) {
       response.verdict = Verdict::kRejected;
       response.reason = d.reason;
-      ++forward_rejects_;
+      forward_rejects_.add();
     } else {
       response.verdict = Verdict::kAccepted;
-      ++forward_accepts_;
-      obs::count(obs::CoreMetrics::get().service_forward_accepts);
+      forward_accepts_.add();
     }
     ready.emplace_back(std::move(it->second.done), std::move(response));
     pending_.erase(it);
@@ -216,7 +201,7 @@ FederatedService::Ready FederatedService::expire_forwards_locked(Tick now) {
     response.verdict = Verdict::kRejected;
     response.strategy = "federated";
     response.reason = "forward expired: no peer verdict within the deadline budget";
-    ++forward_expired_;
+    forward_expired_.add();
     ready.emplace_back(std::move(it->second.done), std::move(response));
     it = pending_.erase(it);
   }
@@ -266,19 +251,6 @@ void FederatedService::stop() {
   }
   for (auto& [fn, response] : ready) fn(response);
   transport_.close();
-}
-
-FederationStats FederatedService::stats() const {
-  FederationStats out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.forwarded = forwarded_;
-    out.forward_accepts = forward_accepts_;
-    out.forward_rejects = forward_rejects_;
-    out.forward_expired = forward_expired_;
-  }
-  out.peer_claims = admission_.peer_claims_admitted();
-  return out;
 }
 
 }  // namespace rota::service

@@ -18,11 +18,12 @@
 // Two pieces:
 //
 //   * ServiceNodeAdmission — cluster::NodeAdmission over an
-//     AdmissionService: probes capture a snapshot under the service's ledger
-//     mutex and speculate outside it; claims run the same
-//     speculate/commit-or-retry loop the planning lanes run, so federation
-//     and live traffic agree on one residual and claim-time re-validation
-//     keeps its guarantee (service.revalidations_failed stays 0).
+//     AdmissionService: probes capture the same owned snapshot the planning
+//     lanes capture (under the service's ledger mutex) and speculate outside
+//     the lock, concurrently with the lanes; claims run the lanes'
+//     speculate/commit-or-retry loop, so federation and live traffic agree
+//     on one residual and claim-time re-validation keeps its guarantee
+//     (service.revalidations_failed stays 0).
 //
 //   * FederatedService — the daemon driver: wraps submit() with the
 //     forwarding bridge (a locally-rejected single-actor evaluate-only
@@ -30,6 +31,10 @@
 //     MigrationAdvisor::materialize(kStay) — and handed to the node's remote
 //     path), and runs the pump thread that drives ClusterNode::pump/on_tick
 //     against the SocketTransport clock.
+//
+// Both count into the service's own registry (AdmissionService::metrics()):
+// service.forwarded, .forward_accepts, .forward_rejects, .forward_expired
+// and .peer_claims appear in AdmissionService::stats().
 #pragma once
 
 #include <atomic>
@@ -50,10 +55,11 @@
 namespace rota::service {
 
 /// The daemon-mode admission backend: the cluster protocol planning against
-/// the live service ledger, serialized with the planning lanes.
+/// the live service ledger, capturing and committing through the same
+/// AdmissionService steps as the planning lanes.
 class ServiceNodeAdmission final : public cluster::NodeAdmission {
  public:
-  explicit ServiceNodeAdmission(AdmissionService& service) : service_(service) {}
+  explicit ServiceNodeAdmission(AdmissionService& service);
 
   std::vector<AdmissionDecision> admit_batch(
       const std::vector<BatchRequest>& requests) override;
@@ -62,20 +68,13 @@ class ServiceNodeAdmission final : public cluster::NodeAdmission {
   cluster::SupplyDigest digest(Location site, Tick now,
                                std::size_t max_segments) override;
 
-  /// Claims peers placed here and this backend committed.
-  std::uint64_t peer_claims_admitted() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return peer_claims_admitted_;
-  }
-
  private:
   /// The lanes' speculate/commit-or-retry loop, shared by claim and
   /// admit_batch.
   AdmissionDecision decide(const ConcurrentRequirement& rho, Tick now);
 
   AdmissionService& service_;
-  mutable std::mutex stats_mutex_;
-  std::uint64_t peer_claims_admitted_ = 0;
+  obs::Counter& peer_claims_;  // service.peer_claims: claims committed here
 };
 
 /// A locally-rejected request's shape as location-independent work, when it
@@ -90,15 +89,6 @@ struct FederationConfig {
   cluster::NodeConfig node;             // protocol knobs (fanout, timeouts…)
   Tick peer_latency = 1;                // static transfer-delay estimate
   std::int64_t pump_interval_ms = 5;    // pump-thread cadence
-};
-
-struct FederationStats {
-  std::uint64_t forwarded = 0;        // local rejections handed to the peers
-  std::uint64_t forward_accepts = 0;  // of those, admitted by a peer
-  std::uint64_t forward_rejects = 0;  // of those, rejected by every peer too
-  std::uint64_t forward_expired = 0;  // of those, answered by the expiry sweep
-                                      // after the peer went silent
-  std::uint64_t peer_claims = 0;      // peer claims committed into our ledger
 };
 
 class FederatedService {
@@ -124,7 +114,6 @@ class FederatedService {
   /// caller drains it afterwards, per the daemon's shutdown order.
   void stop();
 
-  FederationStats stats() const;
   net::SocketTransport& transport() { return transport_; }
   cluster::ClusterNode& node() { return node_; }
 
@@ -165,16 +154,20 @@ class FederatedService {
   net::SocketTransport transport_;
   ServiceNodeAdmission admission_;
 
-  mutable std::mutex mutex_;  // guards node_, events_, pending_, next_job_, counters
+  // The service's service.forward* counters: local rejections handed to the
+  // peers, and how each ended (peer accept, reject by every peer, or the
+  // expiry sweep after the peers went silent).
+  obs::Counter& forwarded_;
+  obs::Counter& forward_accepts_;
+  obs::Counter& forward_rejects_;
+  obs::Counter& forward_expired_;
+
+  std::mutex mutex_;  // guards node_, events_, pending_, next_job_
   cluster::ClusterEvents events_;
   cluster::ClusterNode node_;
   std::size_t decisions_seen_ = 0;
   std::map<std::uint64_t, PendingForward> pending_;
   std::uint64_t next_job_ = 0;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t forward_accepts_ = 0;
-  std::uint64_t forward_rejects_ = 0;
-  std::uint64_t forward_expired_ = 0;
 
   std::thread pump_;
   std::atomic<bool> stopping_{false};

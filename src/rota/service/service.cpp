@@ -1,9 +1,8 @@
 #include "rota/service/service.hpp"
 
 #include <future>
+#include <string>
 #include <utility>
-
-#include "rota/obs/obs.hpp"
 
 namespace rota::service {
 
@@ -16,29 +15,35 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-obs::HistogramSnapshot snapshot_of(const obs::Histogram& h) {
-  const auto buckets = h.buckets();
-  obs::HistogramSnapshot out;
-  out.buckets.assign(buckets.begin(), buckets.end());
-  out.count = h.count();
-  out.sum = h.sum();
-  return out;
-}
+}  // namespace
 
-void bump_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-  std::uint64_t prev = slot.load(std::memory_order_relaxed);
-  while (prev < v &&
-         !slot.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+AdmissionService::Instruments::Instruments(obs::MetricsRegistry& registry)
+    : requests(registry.counter("service.requests")),
+      accepted(registry.counter("service.accepted")),
+      rejected(registry.counter("service.rejected")),
+      shed_queue(registry.counter("service.shed_queue")),
+      shed_budget(registry.counter("service.shed_budget")),
+      demotions(registry.counter("service.demotions")),
+      promotions(registry.counter("service.promotions")),
+      revalidations_failed(registry.counter("service.revalidations_failed")),
+      queue_depth(registry.gauge("service.queue_depth")),
+      max_queue_depth(registry.gauge("service.max_queue_depth")),
+      level(registry.gauge("service.level")),
+      planning_ns(registry.histogram("service.planning_ns")),
+      queue_ns(registry.histogram("service.queue_ns")) {
+  for (int k = 0; k < kStrategyCount; ++k) {
+    const std::string name = strategy_name(static_cast<StrategyKind>(k));
+    served[k] = &registry.counter("service.served." + name);
+    latency_ns[k] = &registry.histogram("service.latency." + name + "_ns");
   }
 }
-
-}  // namespace
 
 AdmissionService::AdmissionService(CommitmentLedger& ledger, CostModel phi,
                                    ServiceConfig config)
     : ledger_(ledger),
       phi_(std::move(phi)),
       config_(config),
+      m_(metrics_),
       registry_(kernel_, config.digest_max_segments ? config.digest_max_segments : 1),
       governor_(config.governor),
       queue_(config.queue_capacity),
@@ -59,8 +64,7 @@ CancellationToken AdmissionService::budget_token(const AdmitRequest& request) co
 }
 
 void AdmissionService::submit(AdmitRequest request, ResponseFn done) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_enabled()) obs::CoreMetrics::get().service_requests.add();
+  m_.requests.add();
 
   CancellationToken token = budget_token(request);
   Pending pending{std::move(request), std::move(done), std::move(token),
@@ -69,8 +73,7 @@ void AdmissionService::submit(AdmitRequest request, ResponseFn done) {
       !queue_.try_push(std::move(pending))) {
     // Shed at the front door: the queue bound (or a stopping service) turned
     // overload into an immediate, explicit answer instead of latent latency.
-    shed_queue_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) obs::CoreMetrics::get().service_shed.add();
+    m_.shed_queue.add();
     AdmitResponse response;
     response.id = pending.request.id;
     response.verdict = Verdict::kOverloaded;
@@ -78,12 +81,9 @@ void AdmissionService::submit(AdmitRequest request, ResponseFn done) {
     respond(pending, std::move(response));
     return;
   }
-  const std::size_t depth = queue_.depth();
-  bump_max(max_queue_depth_, depth);
-  if (obs::metrics_enabled()) {
-    obs::CoreMetrics::get().service_queue_depth.set(
-        static_cast<std::int64_t>(depth));
-  }
+  const auto depth = static_cast<std::int64_t>(queue_.depth());
+  m_.queue_depth.set(depth);
+  m_.max_queue_depth.set_max(depth);
 }
 
 AdmitResponse AdmissionService::admit(AdmitRequest request) {
@@ -94,6 +94,19 @@ AdmitResponse AdmissionService::admit(AdmitRequest request) {
   return future.get();
 }
 
+FeasibilitySnapshot AdmissionService::capture(const ConcurrentRequirement& rho,
+                                              Tick now) {
+  std::lock_guard<std::mutex> lock(ledger_mutex_);
+  return FeasibilitySnapshot::capture(ledger_, effective_window(rho, now),
+                                      touched_shard_mask(rho));
+}
+
+CommitStatus AdmissionService::commit(const PlanResult& result,
+                                      AdmissionDecision& decision) {
+  std::lock_guard<std::mutex> lock(ledger_mutex_);
+  return kernel_.commit(result, ledger_, decision);
+}
+
 void AdmissionService::lane_loop() {
   while (auto pending = queue_.pop()) {
     serve(std::move(*pending));
@@ -102,10 +115,7 @@ void AdmissionService::lane_loop() {
 
 void AdmissionService::serve(Pending pending) {
   const std::uint64_t queue_ns = elapsed_ns(pending.enqueued_at);
-  queue_hist_.record(queue_ns);
-  if (obs::metrics_enabled()) {
-    obs::CoreMetrics::get().service_queue_ns.record(queue_ns);
-  }
+  m_.queue_ns.record(queue_ns);
 
   AdmitResponse response;
   response.id = pending.request.id;
@@ -114,6 +124,7 @@ void AdmissionService::serve(Pending pending) {
   const auto planning_start = std::chrono::steady_clock::now();
   std::uint64_t planning_ns = 0;
   bool observed = false;  // whether this request should feed the governor
+  int served_by = -1;     // the StrategyKind that decided it, if any
   try {
     const ConcurrentRequirement rho =
         make_concurrent_requirement(phi_, pending.request.computation);
@@ -122,11 +133,7 @@ void AdmissionService::serve(Pending pending) {
         planning_ns = elapsed_ns(planning_start);
         response.verdict = Verdict::kOverloaded;
         response.reason = "planning budget exhausted";
-        shed_budget_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) {
-          obs::CoreMetrics::get().service_budget_cancels.add();
-          obs::CoreMetrics::get().service_shed.add();
-        }
+        m_.shed_budget.add();
         observed = true;  // budget pressure is pressure: the governor sees it
         break;
       }
@@ -134,15 +141,7 @@ void AdmissionService::serve(Pending pending) {
           registry_.pick(pending.token.remaining_ns(), governor_.level());
       AnytimeStrategy& strategy = registry_.strategy(kind);
 
-      FeasibilitySnapshot snapshot;
-      {
-        // Owned, hull- and shard-restricted capture: safe to plan against
-        // outside the lock, cheap to copy under it.
-        std::lock_guard<std::mutex> lock(ledger_mutex_);
-        snapshot = FeasibilitySnapshot::capture(
-            ledger_, effective_window(rho, pending.request.at),
-            touched_shard_mask(rho));
-      }
+      const FeasibilitySnapshot snapshot = capture(rho, pending.request.at);
       const auto attempt_start = std::chrono::steady_clock::now();
       const PlanResult result =
           strategy.speculate(rho, pending.request.at, snapshot, pending.token);
@@ -155,33 +154,26 @@ void AdmissionService::serve(Pending pending) {
       if (result.status == PlanStatus::kCancelled) continue;  // shed above
 
       AdmissionDecision decision;
-      CommitStatus committed;
-      {
-        std::lock_guard<std::mutex> lock(ledger_mutex_);
-        committed = kernel_.commit(result, ledger_, decision);
+      if (commit(result, decision) == CommitStatus::kStale) {
+        continue;  // re-pick, re-capture
       }
-      if (committed == CommitStatus::kStale) continue;  // re-pick, re-capture
 
       planning_ns = elapsed_ns(planning_start);
-      served_by_[static_cast<int>(kind)].fetch_add(1, std::memory_order_relaxed);
+      served_by = static_cast<int>(kind);
+      m_.served[served_by]->add();
       response.strategy = strategy_name(kind);
       if (decision.accepted) {
         response.verdict = Verdict::kAccepted;
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::CoreMetrics::get().service_accepted.add();
+        m_.accepted.add();
       } else {
         response.verdict = Verdict::kRejected;
         response.reason = decision.reason;
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::CoreMetrics::get().service_rejected.add();
+        m_.rejected.add();
         if (result.feasible()) {
           // The ladder's safety invariant failed: a degraded strategy found a
           // "feasible" plan the live residual refused. Counted loudly; the
           // strategy test suite and the bench gate hold this at zero.
-          revalidations_failed_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::metrics_enabled()) {
-            obs::CoreMetrics::get().service_revalidations_failed.add();
-          }
+          m_.revalidations_failed.add();
         }
       }
       observed = true;
@@ -193,36 +185,25 @@ void AdmissionService::serve(Pending pending) {
     planning_ns = elapsed_ns(planning_start);
     response.verdict = Verdict::kRejected;
     response.reason = std::string("invalid request: ") + e.what();
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) obs::CoreMetrics::get().service_rejected.add();
+    m_.rejected.add();
   }
 
   response.planning_ns = planning_ns;
-  planning_hist_.record(planning_ns);
-  if (obs::metrics_enabled()) {
-    auto& m = obs::CoreMetrics::get();
-    if (response.strategy == "exact") m.service_latency_exact_ns.record(planning_ns);
-    else if (response.strategy == "digest") m.service_latency_digest_ns.record(planning_ns);
-    else if (response.strategy == "greedy") m.service_latency_greedy_ns.record(planning_ns);
-  }
+  m_.planning_ns.record(planning_ns);
+  if (served_by >= 0) m_.latency_ns[served_by]->record(planning_ns);
 
   if (observed) {
     switch (governor_.observe(planning_ns, queue_.depth())) {
       case GovernorEvent::kDemoted:
-        demotions_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::CoreMetrics::get().service_demotions.add();
+        m_.demotions.add();
         break;
       case GovernorEvent::kPromoted:
-        promotions_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::CoreMetrics::get().service_promotions.add();
+        m_.promotions.add();
         break;
       case GovernorEvent::kNone:
         break;
     }
-    if (obs::metrics_enabled()) {
-      obs::CoreMetrics::get().service_level.set(
-          static_cast<std::int64_t>(governor_.level()));
-    }
+    m_.level.set(static_cast<std::int64_t>(governor_.level()));
   }
 
   respond(pending, std::move(response));
@@ -242,25 +223,6 @@ void AdmissionService::drain_and_stop() {
   stopping_.store(true, std::memory_order_release);
   queue_.close();   // lanes drain what was admitted, then see nullopt
   pool_.shutdown(); // joins the lanes; idempotent
-}
-
-ServiceStats AdmissionService::stats() const {
-  ServiceStats out;
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.accepted = accepted_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.shed_queue = shed_queue_.load(std::memory_order_relaxed);
-  out.shed_budget = shed_budget_.load(std::memory_order_relaxed);
-  out.demotions = demotions_.load(std::memory_order_relaxed);
-  out.promotions = promotions_.load(std::memory_order_relaxed);
-  out.revalidations_failed = revalidations_failed_.load(std::memory_order_relaxed);
-  for (int k = 0; k < kStrategyCount; ++k) {
-    out.served_by[k] = served_by_[k].load(std::memory_order_relaxed);
-  }
-  out.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  out.planning_ns = snapshot_of(planning_hist_);
-  out.queue_ns = snapshot_of(queue_hist_);
-  return out;
 }
 
 }  // namespace rota::service

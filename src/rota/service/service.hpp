@@ -21,12 +21,20 @@
 // commit; `revalidations_failed` counts the times that backstop fired and
 // must stay zero.
 //
+// Stats: the service counts every fact once, always on, into a
+// MetricsRegistry of its own (metrics(); names under service.* in
+// docs/observability.md); stats() is a snapshot of it. The federation layer
+// counts its forwards and peer claims into the same registry. Nothing is
+// mirrored into the global registry, so two services in one process keep
+// separate counts.
+//
 // Threading: lanes speculate concurrently against *owned* snapshots captured
 // under the service's ledger mutex (hull- and shard-restricted, so the copy
 // is small), and commit under the same mutex. While the service is running
 // it must be the ledger's only writer.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -50,25 +58,6 @@ struct ServiceConfig {
   std::uint64_t default_budget_us = 20'000; // budget when a request says 0
   std::size_t digest_max_segments = 64;     // kDigest hull resolution
   GovernorConfig governor;
-};
-
-/// Point-in-time service statistics (monotone counters plus histogram
-/// snapshots; always maintained, independent of the global metrics toggle).
-struct ServiceStats {
-  std::uint64_t requests = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed_queue = 0;      // kOverloaded: queue full / stopping
-  std::uint64_t shed_budget = 0;     // kOverloaded: planning budget exhausted
-  std::uint64_t demotions = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t revalidations_failed = 0;  // must stay 0 (safety backstop)
-  std::uint64_t served_by[kStrategyCount] = {0, 0, 0};
-  std::uint64_t max_queue_depth = 0;
-  obs::HistogramSnapshot planning_ns;  // per served/budget-shed request
-  obs::HistogramSnapshot queue_ns;     // waiting time of dequeued requests
-
-  std::uint64_t shed() const { return shed_queue + shed_budget; }
 };
 
 class AdmissionService {
@@ -100,17 +89,25 @@ class AdmissionService {
   /// drains every queued request to a response, joins the lanes. Idempotent.
   void drain_and_stop();
 
-  ServiceStats stats() const;
+  /// Point-in-time copy of the service's own instruments.
+  obs::MetricsSnapshot stats() const { return metrics_.snapshot(); }
+  /// The registry stats() snapshots; the federation layer resolves its
+  /// service.forward* and service.peer_claims handles from it.
+  obs::MetricsRegistry& metrics() { return metrics_; }
   std::size_t queue_depth() const { return queue_.depth(); }
 
   /// Test seams. Replace strategies before traffic flows.
   StrategyRegistry& registry() { return registry_; }
   SloGovernor& governor() { return governor_; }
 
-  /// Federation seams (rota/service/federation.hpp): the adapter that lets a
-  /// ClusterNode probe/claim against this service's ledger serializes with
-  /// the planning lanes through exactly these — capture and commit under
-  /// ledger_mutex(), speculate outside it, like the lanes do.
+  /// The lanes' two ledger steps, each under ledger_mutex(). The federation
+  /// adapter (rota/service/federation.hpp) uses them too and, like a lane,
+  /// speculates between them outside the lock. capture() returns an owned,
+  /// hull- and shard-restricted copy: safe to plan against while a lane
+  /// commits, cheap to take.
+  FeasibilitySnapshot capture(const ConcurrentRequirement& rho, Tick now);
+  CommitStatus commit(const PlanResult& result, AdmissionDecision& decision);
+
   CommitmentLedger& shared_ledger() { return ledger_; }
   std::mutex& ledger_mutex() { return ledger_mutex_; }
   PlanningKernel& planning_kernel() { return kernel_; }
@@ -124,6 +121,17 @@ class AdmissionService {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
+  /// Handles into metrics_, resolved once at construction.
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry& registry);
+    obs::Counter &requests, &accepted, &rejected, &shed_queue, &shed_budget;
+    obs::Counter &demotions, &promotions, &revalidations_failed;
+    obs::Gauge &queue_depth, &max_queue_depth, &level;
+    obs::Histogram &planning_ns, &queue_ns;
+    std::array<obs::Counter*, kStrategyCount> served;        // by StrategyKind
+    std::array<obs::Histogram*, kStrategyCount> latency_ns;  // by StrategyKind
+  };
+
   void lane_loop();
   void serve(Pending pending);
   void respond(const Pending& pending, AdmitResponse response);
@@ -132,6 +140,8 @@ class AdmissionService {
   CommitmentLedger& ledger_;
   CostModel phi_;
   ServiceConfig config_;
+  obs::MetricsRegistry metrics_;
+  Instruments m_;
   PlanningKernel kernel_;
   StrategyRegistry registry_;
   SloGovernor governor_;
@@ -140,17 +150,6 @@ class AdmissionService {
   ThreadPool pool_;  // lanes; joined by drain_and_stop() before teardown
 
   std::atomic<bool> stopping_{false};
-
-  // Own stats (never gated): the bench and tests read these without turning
-  // on the global registry. CoreMetrics mirrors them when metrics are on.
-  std::atomic<std::uint64_t> requests_{0}, accepted_{0}, rejected_{0};
-  std::atomic<std::uint64_t> shed_queue_{0}, shed_budget_{0};
-  std::atomic<std::uint64_t> demotions_{0}, promotions_{0};
-  std::atomic<std::uint64_t> revalidations_failed_{0};
-  std::atomic<std::uint64_t> served_by_[kStrategyCount] = {};
-  std::atomic<std::uint64_t> max_queue_depth_{0};
-  obs::Histogram planning_hist_;
-  obs::Histogram queue_hist_;
 };
 
 }  // namespace rota::service

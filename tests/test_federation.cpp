@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -23,6 +24,7 @@
 
 #include "rota/service/client.hpp"
 #include "rota/service/server.hpp"
+#include "rota/workload/generator.hpp"
 
 namespace rota::service {
 namespace {
@@ -133,16 +135,16 @@ TEST(Federation, ForwardsLocalRejectionsToAPeerThatAdmitsThem) {
     EXPECT_EQ(response.strategy, "federated");
   }
 
-  const FederationStats fa = a.federation->stats();
-  EXPECT_EQ(fa.forwarded, n);
-  EXPECT_EQ(fa.forward_accepts, n);
-  EXPECT_EQ(fa.forward_rejects, 0u);
-  EXPECT_EQ(b.federation->stats().peer_claims, n)
+  const obs::MetricsSnapshot fa = a.service.stats();
+  EXPECT_EQ(fa.counter("service.forwarded"), n);
+  EXPECT_EQ(fa.counter("service.forward_accepts"), n);
+  EXPECT_EQ(fa.counter("service.forward_rejects"), 0u);
+  EXPECT_EQ(b.service.stats().counter("service.peer_claims"), n)
       << "every forward was committed into B's live ledger";
   // The safety backstop on both sides: a peer claim is re-validated against
   // the live residual exactly like a degraded local accept.
-  EXPECT_EQ(a.service.stats().revalidations_failed, 0u);
-  EXPECT_EQ(b.service.stats().revalidations_failed, 0u);
+  EXPECT_EQ(a.service.stats().counter("service.revalidations_failed"), 0u);
+  EXPECT_EQ(b.service.stats().counter("service.revalidations_failed"), 0u);
 
   a.federation->stop();
   b.federation->stop();
@@ -168,8 +170,8 @@ TEST(Federation, LocallyFeasibleRequestsNeverTouchThePeer) {
     EXPECT_EQ(response.verdict, Verdict::kAccepted) << response.reason;
     EXPECT_NE(response.strategy, "federated") << "local-first stayed local";
   }
-  EXPECT_EQ(a.federation->stats().forwarded, 0u);
-  EXPECT_EQ(b.federation->stats().peer_claims, 0u);
+  EXPECT_EQ(a.service.stats().counter("service.forwarded"), 0u);
+  EXPECT_EQ(b.service.stats().counter("service.peer_claims"), 0u);
 
   a.federation->stop();
   b.federation->stop();
@@ -202,7 +204,7 @@ TEST(Federation, UnforwardableShapesKeepTheirLocalRejection) {
   const AdmitResponse response = await_response(future);
   EXPECT_EQ(response.verdict, Verdict::kRejected);
   EXPECT_NE(response.strategy, "federated");
-  EXPECT_EQ(a.federation->stats().forwarded, 0u);
+  EXPECT_EQ(a.service.stats().counter("service.forwarded"), 0u);
 
   a.federation->stop();
   a.service.drain_and_stop();
@@ -225,9 +227,9 @@ TEST(Federation, UnreachablePeerResolvesToARejectionNotAHang) {
   EXPECT_EQ(response.verdict, Verdict::kRejected);
   EXPECT_EQ(response.strategy, "federated");
   EXPECT_FALSE(response.reason.empty());
-  const FederationStats stats = a.federation->stats();
-  EXPECT_EQ(stats.forwarded, 1u);
-  EXPECT_EQ(stats.forward_rejects, 1u);
+  const obs::MetricsSnapshot stats = a.service.stats();
+  EXPECT_EQ(stats.counter("service.forwarded"), 1u);
+  EXPECT_EQ(stats.counter("service.forward_rejects"), 1u);
 
   a.federation->stop();
   a.service.drain_and_stop();
@@ -284,11 +286,11 @@ TEST(Federation, PeerDeathMidConversationAnswersRejectNotSilence) {
   // Kill the peer the moment the first forward is on the wire: whatever
   // conversations are mid-probe or mid-claim lose their counterparty.
   const auto kill_by = std::chrono::steady_clock::now() + seconds(10);
-  while (a.federation->stats().forwarded == 0 &&
+  while (a.service.stats().counter("service.forwarded") == 0 &&
          std::chrono::steady_clock::now() < kill_by) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GT(a.federation->stats().forwarded, 0u);
+  EXPECT_GT(a.service.stats().counter("service.forwarded"), 0u);
   b->federation->stop();
   b->service.drain_and_stop();
   b.reset();
@@ -307,10 +309,12 @@ TEST(Federation, PeerDeathMidConversationAnswersRejectNotSilence) {
   }
   EXPECT_EQ(accepted + rejected, n) << "every forward answered";
 
-  const FederationStats stats = a.federation->stats();
-  EXPECT_EQ(stats.forwarded, n);
-  EXPECT_EQ(stats.forward_accepts, accepted);
-  EXPECT_EQ(stats.forward_rejects + stats.forward_expired, rejected)
+  const obs::MetricsSnapshot stats = a.service.stats();
+  EXPECT_EQ(stats.counter("service.forwarded"), n);
+  EXPECT_EQ(stats.counter("service.forward_accepts"), accepted);
+  EXPECT_EQ(stats.counter("service.forward_rejects") +
+                stats.counter("service.forward_expired"),
+            rejected)
       << "rejects came from a verdict or the expiry sweep, not from silence";
 
   a.federation->stop();
@@ -357,10 +361,75 @@ TEST(Federation, TwoDaemonEndToEndOverUnixSockets) {
   a.federation->stop();
   b.federation->stop();
   server.stop();
-  EXPECT_EQ(a.service.stats().revalidations_failed, 0u);
-  EXPECT_EQ(b.service.stats().revalidations_failed, 0u);
-  EXPECT_EQ(b.federation->stats().peer_claims, n);
+  EXPECT_EQ(a.service.stats().counter("service.revalidations_failed"), 0u);
+  EXPECT_EQ(b.service.stats().counter("service.revalidations_failed"), 0u);
+  EXPECT_EQ(b.service.stats().counter("service.peer_claims"), n);
   b.service.drain_and_stop();
+}
+
+// The peer-facing backend speculates outside the ledger mutex while the
+// service's lanes commit. Its snapshots must be owned copies like the lanes'
+// own: a borrowed capture aliases the residual that a lane's commit
+// reassigns, a data race ThreadSanitizer reports. Afterwards the books
+// balance: every local accept and every accepted claim is one admitted
+// record, and no accept was refused at commit.
+TEST(Federation, PeerProbesAndClaimsRaceTheLanesSafely) {
+  WorkloadConfig wconfig;
+  wconfig.seed = 31;
+  wconfig.num_locations = 3;
+  wconfig.laxity = 2.5;
+  WorkloadGenerator gen(wconfig, CostModel{});
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, 4000)));
+  ServiceConfig config;
+  config.lanes = 2;
+  const std::size_t n_local = 3000, n_claims = 300;
+  config.queue_capacity = n_local;        // nothing sheds at the front door
+  config.default_budget_us = 60'000'000;  // nor on budget, even sanitized
+  AdmissionService service(ledger, gen.phi(), config);
+  ServiceNodeAdmission backend(service);
+
+  // The generator is single-threaded: build both streams up front.
+  std::vector<AdmitRequest> local;
+  for (std::size_t i = 0; i < n_local; ++i) {
+    AdmitRequest request;
+    request.id = i + 1;
+    request.at = static_cast<Tick>(i % 2000);
+    request.computation = gen.make_computation(request.at);
+    local.push_back(std::move(request));
+  }
+  std::vector<std::pair<ConcurrentRequirement, Tick>> claims;
+  for (std::size_t i = 0; i < n_claims; ++i) {
+    const Tick at = static_cast<Tick>((i * 7) % 2000);
+    claims.emplace_back(
+        make_concurrent_requirement(gen.phi(), gen.make_computation(at)), at);
+  }
+
+  std::atomic<std::size_t> local_accepts{0};
+  std::thread submitter([&] {
+    for (AdmitRequest& request : local) {
+      service.submit(std::move(request), [&](const AdmitResponse& r) {
+        if (r.verdict == Verdict::kAccepted) local_accepts.fetch_add(1);
+      });
+    }
+  });
+  std::size_t claims_accepted = 0;
+  std::thread peer([&] {
+    for (const auto& [rho, at] : claims) {
+      backend.probe(rho, at);
+      if (backend.claim(rho, at).accepted) ++claims_accepted;
+    }
+  });
+  submitter.join();
+  peer.join();
+  service.drain_and_stop();
+
+  const obs::MetricsSnapshot stats = service.stats();
+  EXPECT_EQ(stats.counter("service.requests"), n_local);
+  EXPECT_EQ(stats.counter("service.revalidations_failed"), 0u);
+  EXPECT_EQ(stats.counter("service.peer_claims"), claims_accepted);
+  EXPECT_GT(local_accepts.load(), 0u);
+  EXPECT_GT(claims_accepted, 0u);
+  EXPECT_EQ(ledger.admitted_count(), local_accepts.load() + claims_accepted);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "rota/obs/obs.hpp"
 #include "rota/runtime/bounded_queue.hpp"
 #include "rota/service/client.hpp"
 #include "rota/service/server.hpp"
@@ -241,8 +243,8 @@ TEST(ServiceGovernor, SlowExactForcesDemotionUnderTightBudget) {
   for (std::uint64_t i = 0; i < 8; ++i) {
     responses.push_back(svc.admit(make_request(gen, i + 1, static_cast<Tick>(i))));
   }
-  const ServiceStats stats = svc.stats();
-  EXPECT_GE(stats.demotions, 1u) << "sustained overruns must demote";
+  const obs::MetricsSnapshot stats = svc.stats();
+  EXPECT_GE(stats.counter("service.demotions"), 1u) << "sustained overruns must demote";
   EXPECT_NE(svc.governor().level(), StrategyKind::kExact);
   // Early requests burned their budget inside the slow exact rung and were
   // shed — explicitly, with a reason, never silently.
@@ -253,7 +255,7 @@ TEST(ServiceGovernor, SlowExactForcesDemotionUnderTightBudget) {
   EXPECT_NE(last.verdict, Verdict::kOverloaded);
   EXPECT_TRUE(last.strategy == "digest" || last.strategy == "greedy")
       << last.strategy;
-  EXPECT_EQ(stats.revalidations_failed, 0u);
+  EXPECT_EQ(stats.counter("service.revalidations_failed"), 0u);
 }
 
 TEST(ServiceGovernor, CostModelStopsPickingExactOnceItLearnsTheCost) {
@@ -278,7 +280,7 @@ TEST(ServiceGovernor, CostModelStopsPickingExactOnceItLearnsTheCost) {
   EXPECT_NE(tight.verdict, Verdict::kOverloaded);
   EXPECT_TRUE(tight.strategy == "digest" || tight.strategy == "greedy")
       << tight.strategy;
-  EXPECT_EQ(svc.stats().demotions, 0u)
+  EXPECT_EQ(svc.stats().counter("service.demotions"), 0u)
       << "per-request steering, not governor demotion";
 }
 
@@ -310,7 +312,7 @@ TEST(ServiceGovernor, PromotesBackAfterPressureClears) {
   }
   EXPECT_EQ(svc.governor().level(), StrategyKind::kExact)
       << "sustained calm must promote back to the top rung";
-  EXPECT_GE(svc.stats().promotions, 1u);
+  EXPECT_GE(svc.stats().counter("service.promotions"), 1u);
 }
 
 // Degraded strategies may be pessimistic, never optimistic: anything kDigest
@@ -393,7 +395,7 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
   svc.drain_and_stop();
   std::lock_guard<std::mutex> lock(mutex);
   EXPECT_EQ(responses.size(), 6u) << "every submitted request was answered";
-  EXPECT_EQ(svc.stats().shed_queue, 4u);
+  EXPECT_EQ(svc.stats().counter("service.shed_queue"), 4u);
 }
 
 TEST(ServiceShedding, DrainAnswersEverythingAndStopsIntake) {
@@ -418,6 +420,123 @@ TEST(ServiceShedding, DrainAnswersEverythingAndStopsIntake) {
   svc.submit(make_request(gen, 99, 0),
              [&](const AdmitResponse& r) { late = r; });
   EXPECT_EQ(late.verdict, Verdict::kOverloaded);
+}
+
+// ---- stats: the service's own registry ------------------------------------
+
+// Submitters race a stats() reader. Every submit ends in exactly one of the
+// four outcomes, and every answer that names a strategy was counted (and
+// timed) under that strategy.
+TEST(ServiceMetrics, ConcurrentSubmittersAndAReaderBalanceTheBooks) {
+  WorkloadGenerator gen = make_generator(23);
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+  ServiceConfig config;
+  config.lanes = 2;
+  config.queue_capacity = 8;  // small: some submits shed at the front door
+  AdmissionService svc(ledger, gen.phi(), config);
+
+  constexpr std::size_t kThreads = 3, kPerThread = 40;
+  std::vector<std::vector<AdmitRequest>> batches(kThreads);
+  std::uint64_t id = 0;
+  for (auto& batch : batches) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      ++id;
+      // Every fifth request has a 1 us budget: it sheds on budget instead.
+      batch.push_back(make_request(gen, id, static_cast<Tick>(id % 200),
+                                   id % 5 == 0 ? 1 : 0));
+    }
+  }
+
+  std::mutex mutex;
+  std::vector<AdmitResponse> responses;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const std::uint64_t requests = svc.stats().counter("service.requests");
+      EXPECT_GE(requests, last) << "a counter went backwards";
+      last = requests;
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (auto& batch : batches) {
+    submitters.emplace_back([&svc, &mutex, &responses, &batch] {
+      for (AdmitRequest& request : batch) {
+        svc.submit(std::move(request), [&](const AdmitResponse& r) {
+          std::lock_guard<std::mutex> lock(mutex);
+          responses.push_back(r);
+        });
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  svc.drain_and_stop();
+  done.store(true);
+  reader.join();
+
+  const obs::MetricsSnapshot stats = svc.stats();
+  const std::uint64_t requests = stats.counter("service.requests");
+  EXPECT_EQ(requests, kThreads * kPerThread);
+  EXPECT_EQ(responses.size(), requests);
+  EXPECT_EQ(requests, stats.counter("service.accepted") +
+                          stats.counter("service.rejected") +
+                          stats.counter("service.shed_queue") +
+                          stats.counter("service.shed_budget"));
+  std::uint64_t served = 0;
+  for (const char* strategy : {"exact", "digest", "greedy"}) {
+    const std::uint64_t n = stats.counter(std::string("service.served.") + strategy);
+    EXPECT_EQ(stats.histograms.at(std::string("service.latency.") + strategy + "_ns")
+                  .count,
+              n)
+        << strategy;
+    served += n;
+  }
+  std::uint64_t with_strategy = 0;
+  for (const AdmitResponse& r : responses) with_strategy += !r.strategy.empty();
+  EXPECT_EQ(served, with_strategy);
+  EXPECT_EQ(stats.counter("service.revalidations_failed"), 0u);
+}
+
+// Two services in one process (as e20 runs them) count apart.
+TEST(ServiceMetrics, TwoServicesKeepSeparateCounts) {
+  WorkloadGenerator gen = make_generator(24);
+  CommitmentLedger ledger_a(gen.base_supply(TimeInterval(0, kHorizon)));
+  CommitmentLedger ledger_b(gen.base_supply(TimeInterval(0, kHorizon)));
+  AdmissionService a(ledger_a, gen.phi(), ServiceConfig{});
+  AdmissionService b(ledger_b, gen.phi(), ServiceConfig{});
+  for (std::uint64_t i = 0; i < 3; ++i) a.admit(make_request(gen, i + 1, 0));
+  for (std::uint64_t i = 0; i < 5; ++i) b.admit(make_request(gen, i + 1, 0));
+  a.drain_and_stop();
+  b.drain_and_stop();
+  EXPECT_EQ(a.stats().counter("service.requests"), 3u);
+  EXPECT_EQ(b.stats().counter("service.requests"), 5u);
+  EXPECT_EQ(a.stats().histograms.at("service.planning_ns").count, 3u);
+  EXPECT_EQ(b.stats().histograms.at("service.planning_ns").count, 5u);
+}
+
+// The service counts only into its own registry: with global metrics on, the
+// kernel's plan.* instruments fill up but no service.* name appears.
+TEST(ServiceMetrics, NothingIsMirroredIntoTheGlobalRegistry) {
+  WorkloadGenerator gen = make_generator(25);
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+  obs::MetricsRegistry::global().reset();
+  obs::enable_metrics(true);
+  {
+    AdmissionService svc(ledger, gen.phi(), ServiceConfig{});
+    for (std::uint64_t i = 0; i < 4; ++i) svc.admit(make_request(gen, i + 1, 0));
+    svc.drain_and_stop();
+    EXPECT_EQ(svc.stats().counter("service.requests"), 4u);
+  }
+  obs::enable_metrics(false);
+  const obs::MetricsSnapshot global = obs::MetricsRegistry::global().snapshot();
+  EXPECT_GT(global.counter("plan.speculate.count"), 0u);
+  const auto is_service = [](const auto& entry) {
+    return entry.first.rfind("service.", 0) == 0;
+  };
+  EXPECT_FALSE(std::any_of(global.counters.begin(), global.counters.end(), is_service));
+  EXPECT_FALSE(std::any_of(global.gauges.begin(), global.gauges.end(), is_service));
+  EXPECT_FALSE(
+      std::any_of(global.histograms.begin(), global.histograms.end(), is_service));
 }
 
 // ---- socket round trip ----------------------------------------------------
@@ -548,7 +667,7 @@ TEST(ServiceSocket, StopDrainsInFlightRequestsBeforeClosing) {
   }
   stopper.join();
   EXPECT_EQ(answered, n) << "stop() abandoned queued requests";
-  EXPECT_EQ(svc.stats().requests, n);
+  EXPECT_EQ(svc.stats().counter("service.requests"), n);
 }
 
 // ---- session tokens & client bounds ---------------------------------------
