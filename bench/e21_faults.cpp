@@ -15,7 +15,12 @@
 // an original or a minted retry, calm cells must lose nothing, a no-retry
 // cell must resubmit nothing, the hostile retry cell must actually storm,
 // and an identically-seeded rerun of that flagship cell must reproduce the
-// decision log byte for byte.
+// decision log byte for byte. The flagship's decision log is also pinned:
+// its FNV-1a 64 digest is written as flagship.decision_digest, and the bench
+// exits non-zero when it differs from the value pinned below for the run
+// size, so a change to any cluster decision is caught, not just a
+// nondeterministic one.
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -34,6 +39,9 @@ using namespace rota::cluster;
 constexpr std::size_t kNodes = 4;
 constexpr double kHotFraction = 0.5;
 constexpr std::uint64_t kSeed = 2026;
+// Flagship decision-log digests for kSeed, per run size.
+constexpr const char* kSmokeDigest = "f738f50bdaa00d81";
+constexpr const char* kFullDigest = "de6b2fe45c98c2b5";
 
 struct Intensity {
   const char* name;
@@ -154,6 +162,18 @@ Cell run_cell(const Intensity& intensity, std::size_t intensity_index,
   return cell;
 }
 
+/// FNV-1a 64 over `log`, as 16 hex digits.
+std::string fnv1a_hex(const std::string& log) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : log) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
 void print_cell(const Cell& c) {
   std::cout << c.intensity << (c.retries ? " +retries" : "          ")
             << ": faults=" << c.fault_events << " jobs=" << c.originals
@@ -259,6 +279,14 @@ int main(int argc, char** argv) {
   }
   std::cout << "determinism: flagship rerun identical (" << flagship.submitted
             << " decisions, " << flagship.resubmissions << " retries)\n";
+  const std::string digest = fnv1a_hex(flagship.decision_log);
+  const std::string pinned = smoke ? kSmokeDigest : kFullDigest;
+  std::cout << "flagship decision digest: " << digest << "\n";
+  if (digest != pinned) {
+    std::cerr << "FATAL: flagship decision digest " << digest
+              << " differs from the pinned " << pinned << "\n";
+    return 1;
+  }
 
   std::ofstream out(path);
   out << "{\n"
@@ -281,6 +309,7 @@ int main(int argc, char** argv) {
       << "    \"resubmissions\": " << flagship.resubmissions << ",\n"
       << "    \"deadline_hit_rate\": " << flagship.hit_rate << ",\n"
       << "    \"root_hit_rate\": " << flagship.root_hit_rate << ",\n"
+      << "    \"decision_digest\": \"" << digest << "\",\n"
       << "    \"determinism\": \"rerun decision log identical\"\n"
       << "  }\n"
       << "}\n";

@@ -13,11 +13,13 @@
 // protocol errors or zero completed requests.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,19 @@
 #include "rota/workload/generator.hpp"
 
 namespace {
+
+constexpr std::uint64_t kMaxPort = 65535;
+constexpr std::uint64_t kMaxCount = 1'000'000'000;
+
+/// `text` as a whole decimal number in [lo, hi]; nullopt when it is not one.
+std::optional<std::uint64_t> parse_number(const std::string& text, std::uint64_t lo,
+                                          std::uint64_t hi) {
+  std::uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || stop != end || n < lo || n > hi) return std::nullopt;
+  return n;
+}
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " [options]\n"
@@ -73,13 +88,34 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag outside its range is a usage error, never a wrapped or
+    // defaulted value.
+    const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      const std::string text = value();
+      const std::optional<std::uint64_t> n = parse_number(text, lo, hi);
+      if (!n) {
+        std::cerr << arg << " needs a whole number in [" << lo << ", " << hi
+                  << "], got '" << text << "'\n";
+        std::exit(usage(argv[0]));
+      }
+      return *n;
+    };
     if (arg == "--socket") socket_path = value();
-    else if (arg == "--tcp") { tcp = true; tcp_port = static_cast<std::uint16_t>(std::stoul(value())); }
-    else if (arg == "--connections") connections = std::stoul(value());
-    else if (arg == "--seconds") seconds = std::stod(value());
-    else if (arg == "--budget-us") budget_us = std::stoull(value());
-    else if (arg == "--locations") locations = std::stoul(value());
-    else if (arg == "--seed") seed = std::stoull(value());
+    else if (arg == "--tcp") { tcp = true; tcp_port = static_cast<std::uint16_t>(number(0, kMaxPort)); }
+    else if (arg == "--connections") connections = number(1, kMaxCount);
+    else if (arg == "--seconds") {
+      const std::string text = value();
+      char* stop = nullptr;
+      seconds = std::strtod(text.c_str(), &stop);
+      if (stop != text.c_str() + text.size() || !(seconds > 0) ||
+          seconds > static_cast<double>(kMaxCount)) {
+        std::cerr << "--seconds needs a positive number, got '" << text << "'\n";
+        return usage(argv[0]);
+      }
+    }
+    else if (arg == "--budget-us") budget_us = number(0, kMaxCount);
+    else if (arg == "--locations") locations = number(1, kMaxCount);
+    else if (arg == "--seed") seed = number(0, UINT64_MAX);
     else if (arg == "--secret") secret = value();
     else return usage(argv[0]);
   }

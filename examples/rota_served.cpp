@@ -17,6 +17,7 @@
 // chrome://tracing or Perfetto). Its metrics dump holds the global registry
 // (plan.*, ledger.*) merged with the service's own service.* snapshot.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -37,6 +38,19 @@ namespace {
 std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
+
+constexpr std::uint64_t kMaxPort = 65535;
+constexpr std::uint64_t kMaxCount = 1'000'000'000;
+
+/// `text` as a whole decimal number in [lo, hi]; nullopt when it is not one.
+std::optional<std::uint64_t> parse_number(const std::string& text, std::uint64_t lo,
+                                          std::uint64_t hi) {
+  std::uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || stop != end || n < lo || n > hi) return std::nullopt;
+  return n;
+}
 
 int usage(const char* argv0) {
   std::cerr
@@ -89,18 +103,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag outside its range is a usage error, never a wrapped or
+    // defaulted value.
+    const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      const std::string text = value();
+      const std::optional<std::uint64_t> n = parse_number(text, lo, hi);
+      if (!n) {
+        std::cerr << arg << " needs a whole number in [" << lo << ", " << hi
+                  << "], got '" << text << "'\n";
+        std::exit(usage(argv[0]));
+      }
+      return *n;
+    };
     if (arg == "--socket") socket_path = value();
-    else if (arg == "--tcp") { tcp = true; tcp_port = static_cast<std::uint16_t>(std::stoul(value())); }
-    else if (arg == "--lanes") config.lanes = std::stoul(value());
-    else if (arg == "--queue") config.queue_capacity = std::stoul(value());
-    else if (arg == "--budget-us") config.default_budget_us = std::stoull(value());
-    else if (arg == "--slo-ms") config.governor.slo_ns = std::stoull(value()) * 1'000'000;
-    else if (arg == "--locations") locations = std::stoul(value());
-    else if (arg == "--horizon") horizon = static_cast<Tick>(std::stoll(value()));
-    else if (arg == "--seed") seed = std::stoull(value());
+    else if (arg == "--tcp") { tcp = true; tcp_port = static_cast<std::uint16_t>(number(0, kMaxPort)); }
+    else if (arg == "--lanes") config.lanes = number(1, kMaxCount);
+    else if (arg == "--queue") config.queue_capacity = number(1, kMaxCount);
+    else if (arg == "--budget-us") config.default_budget_us = number(0, kMaxCount);
+    else if (arg == "--slo-ms") config.governor.slo_ns = number(1, kMaxCount) * 1'000'000;
+    else if (arg == "--locations") locations = number(1, kMaxCount);
+    else if (arg == "--horizon") horizon = static_cast<Tick>(number(1, kMaxCount));
+    else if (arg == "--seed") seed = number(0, UINT64_MAX);
     else if (arg == "--node-id") {
       federate = true;
-      fconfig.transport.local = static_cast<cluster::NodeId>(std::stoul(value()));
+      fconfig.transport.local = static_cast<cluster::NodeId>(number(0, UINT32_MAX));
     }
     else if (arg == "--peer-listen") { federate = true; fconfig.transport.listen = value(); }
     else if (arg == "--peer") {
@@ -111,8 +137,13 @@ int main(int argc, char** argv) {
         std::cerr << "--peer needs ID=ADDR, got " << spec << "\n";
         return usage(argv[0]);
       }
-      fconfig.transport.peers[static_cast<cluster::NodeId>(
-          std::stoul(spec.substr(0, eq)))] = spec.substr(eq + 1);
+      const std::optional<std::uint64_t> id =
+          parse_number(spec.substr(0, eq), 0, UINT32_MAX);
+      if (!id) {
+        std::cerr << "--peer needs a numeric ID, got " << spec << "\n";
+        return usage(argv[0]);
+      }
+      fconfig.transport.peers[static_cast<cluster::NodeId>(*id)] = spec.substr(eq + 1);
     }
     else if (arg == "--site") fconfig.site = value();
     else if (arg == "--secret") secret = value();

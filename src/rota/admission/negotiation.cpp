@@ -7,15 +7,11 @@ namespace rota {
 
 namespace {
 
-/// One candidate-window probe: a kernel speculation through the snapshot's
-/// restriction cache. `focus` is the search's whole probe range, constant
-/// across the binary search, so the residual is restricted exactly once.
+/// One candidate-window probe: a kernel speculation of `rho` clipped to
+/// `window`, against the search's one snapshot.
 bool probe(const FeasibilitySnapshot& snapshot, const PlanningKernel& kernel,
-           const ConcurrentRequirement& rho, const TimeInterval& window,
-           const TimeInterval& focus) {
-  return kernel
-      .speculate_within(clip_requirement(rho, window), window.start(), snapshot,
-                        focus)
+           const ConcurrentRequirement& rho, const TimeInterval& window) {
+  return kernel.speculate(clip_requirement(rho, window), window.start(), snapshot)
       .feasible();
 }
 
@@ -29,13 +25,12 @@ std::optional<Tick> earliest_feasible_deadline(const FeasibilitySnapshot& snapsh
   if (latest <= start) {
     throw std::invalid_argument("earliest_feasible_deadline: latest must follow s");
   }
-  const TimeInterval focus(start, latest);
   // ASAP feasibility is monotone in d: a plan for d also works for d' > d.
-  if (!probe(snapshot, kernel, rho, focus, focus)) return std::nullopt;
+  if (!probe(snapshot, kernel, rho, TimeInterval(start, latest))) return std::nullopt;
   Tick lo = start + 1, hi = latest;  // invariant: hi is feasible
   while (lo < hi) {
     const Tick mid = lo + (hi - lo) / 2;
-    if (probe(snapshot, kernel, rho, TimeInterval(start, mid), focus)) {
+    if (probe(snapshot, kernel, rho, TimeInterval(start, mid))) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -47,17 +42,19 @@ std::optional<Tick> earliest_feasible_deadline(const FeasibilitySnapshot& snapsh
 std::optional<Tick> earliest_feasible_deadline(const ResourceSet& available,
                                                const ConcurrentRequirement& rho,
                                                Tick latest, PlanningPolicy policy) {
-  return earliest_feasible_deadline(FeasibilitySnapshot::over(available), rho,
-                                    latest, PlanningKernel(policy));
+  // Every probe window lies in [s, latest): plan against that range only.
+  const ResourceSet range =
+      available.restricted(TimeInterval(rho.window().start(), latest));
+  return earliest_feasible_deadline(FeasibilitySnapshot::over(range), rho, latest,
+                                    PlanningKernel(policy));
 }
 
 std::optional<Tick> latest_feasible_start(const FeasibilitySnapshot& snapshot,
                                           const ConcurrentRequirement& rho,
                                           const PlanningKernel& kernel) {
   const Tick deadline = rho.window().end();
-  const TimeInterval focus(rho.window().start(), deadline);
   auto feasible_from = [&](Tick s) {
-    return probe(snapshot, kernel, rho, TimeInterval(s, deadline), focus);
+    return probe(snapshot, kernel, rho, TimeInterval(s, deadline));
   };
   if (!feasible_from(rho.window().start())) return std::nullopt;
   // Shrinking the window from the left is monotone the other way: if start s
@@ -77,7 +74,8 @@ std::optional<Tick> latest_feasible_start(const FeasibilitySnapshot& snapshot,
 std::optional<Tick> latest_feasible_start(const ResourceSet& available,
                                           const ConcurrentRequirement& rho,
                                           PlanningPolicy policy) {
-  return latest_feasible_start(FeasibilitySnapshot::over(available), rho,
+  const ResourceSet range = available.restricted(rho.window());
+  return latest_feasible_start(FeasibilitySnapshot::over(range), rho,
                                PlanningKernel(policy));
 }
 
@@ -90,15 +88,15 @@ CounterOffer request_with_counter_offer(RotaAdmissionController& controller,
   if (max_deadline <= rho.window().end()) return offer;  // nothing to offer
 
   // Probe the residual for the smallest workable extension. The probe window
-  // starts where the kernel would clip: max(s, now). One snapshot serves the
-  // whole search; its restriction cache holds the single restricted view
-  // every candidate window is planned against.
+  // starts where the kernel would clip: max(s, now). One capture of that
+  // window, on the requirement's shards, serves every candidate the search
+  // plans.
   const Tick start = std::max(rho.window().start(), now);
   if (start >= max_deadline) return offer;
-  const ConcurrentRequirement probe_rho =
-      clip_requirement(rho, TimeInterval(start, max_deadline));
-  const FeasibilitySnapshot snapshot =
-      FeasibilitySnapshot::capture(controller.ledger());
+  const TimeInterval window(start, max_deadline);
+  const ConcurrentRequirement probe_rho = clip_requirement(rho, window);
+  const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(
+      controller.ledger(), window, touched_shard_mask(probe_rho));
   auto d = earliest_feasible_deadline(snapshot, probe_rho, max_deadline,
                                       controller.kernel());
   // Only offer genuine extensions (a d inside the original window would

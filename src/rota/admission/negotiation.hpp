@@ -6,9 +6,8 @@
 // All three reduce to monotone searches over the planning kernel: enlarging
 // the window (later d, or earlier s) never hurts ASAP feasibility, so binary
 // search applies. Every probe is a PlanningKernel::speculate against one
-// FeasibilitySnapshot — the snapshot's restriction cache means a whole
-// search pays for a single residual restriction, not one per candidate
-// window.
+// FeasibilitySnapshot whose view covers the search's whole probe range, so a
+// whole search pays for a single capture, not one per candidate window.
 #pragma once
 
 #include <optional>

@@ -35,20 +35,12 @@ PeriodicAdmission admit_periodic(RotaAdmissionController& controller,
   const auto instances = expand_periodic(task, period, count);
   std::vector<std::string> admitted_names;
   for (std::size_t k = 0; k < instances.size(); ++k) {
-    // Instance by instance through the kernel: speculate against the live
-    // residual, commit on success (stale cannot happen between the two in
-    // this sequential loop, but the loop keeps the contract honest).
-    const ConcurrentRequirement rho =
-        make_concurrent_requirement(controller.phi(), instances[k]);
-    std::optional<AdmissionDecision> d;
-    do {
-      const PlanResult speculation = controller.kernel().speculate(
-          rho, now, FeasibilitySnapshot::capture(controller.ledger()));
-      d = controller.commit(speculation);
-    } while (!d);
-    if (!d->accepted) {
+    // Instance by instance through the sequential kernel path.
+    AdmissionDecision d = controller.request(
+        make_concurrent_requirement(controller.phi(), instances[k]), now);
+    if (!d.accepted) {
       result.failed_instance = k;
-      result.reason = d->reason;
+      result.reason = d.reason;
       // Roll back: none of the earlier instances has started (their windows
       // lie in the future of `now` by construction when s > now; if the
       // first window already began, release will throw — surface that).
@@ -59,7 +51,7 @@ PeriodicAdmission admit_periodic(RotaAdmissionController& controller,
       return result;
     }
     admitted_names.push_back(instances[k].name());
-    result.plans.push_back(std::move(*d->plan));
+    result.plans.push_back(std::move(*d.plan));
   }
   result.accepted = true;
   return result;
@@ -70,14 +62,23 @@ std::size_t sustainable_instances(const RotaAdmissionController& controller,
                                   std::size_t max_count, Tick now) {
   // Pure speculation: chain what-if snapshots (each minus the previous
   // instance's plan) instead of probing a copied controller — the caller's
-  // ledger is never touched and nothing is copied up front.
+  // ledger is never touched. One capture of the series hull, on the shards
+  // the instances demand, covers every instance.
   const auto instances = expand_periodic(task, period, std::max<std::size_t>(1, max_count));
-  FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(controller.ledger());
-  std::size_t sustained = 0;
+  std::vector<ConcurrentRequirement> series;
+  series.reserve(instances.size());
+  TimeInterval hull;
+  ShardMask mask = 0;
   for (const auto& instance : instances) {
+    series.push_back(make_concurrent_requirement(controller.phi(), instance));
+    hull = hull.hull_with(effective_window(series.back(), now));
+    mask |= touched_shard_mask(series.back());
+  }
+  FeasibilitySnapshot snapshot =
+      FeasibilitySnapshot::capture(controller.ledger(), hull, mask);
+  std::size_t sustained = 0;
+  for (const ConcurrentRequirement& rho : series) {
     if (sustained >= max_count) break;
-    const ConcurrentRequirement rho =
-        make_concurrent_requirement(controller.phi(), instance);
     PlanResult result = controller.kernel().speculate(rho, now, snapshot);
     if (!result.feasible()) break;
     auto next = snapshot.minus(*result.plan);

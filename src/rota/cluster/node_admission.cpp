@@ -24,7 +24,10 @@ std::vector<AdmissionDecision> BatchNodeAdmission::admit_batch(
 PlanResult BatchNodeAdmission::probe(const ConcurrentRequirement& rho,
                                      Tick now) {
   return controller_->kernel().speculate(
-      rho, now, FeasibilitySnapshot::capture(controller_->ledger()));
+      rho, now,
+      FeasibilitySnapshot::capture(controller_->ledger(),
+                                   effective_window(rho, now),
+                                   touched_shard_mask(rho)));
 }
 
 AdmissionDecision BatchNodeAdmission::claim(const ConcurrentRequirement& rho,

@@ -519,33 +519,37 @@ void kernel_case(Gen& g, Recorder& rec) {
                });
   }
 
-  // Restriction-cache audit: whatever window mix the cache serves — fresh,
-  // repeated, nested, overlapping — re-restricting its answer to the probe
-  // window must equal the uncached restriction. (Served views may be wider
-  // than the probe; they are planning-equivalent, not bit-equal.)
+  // Window-parity audit: the admission capture keeps only the request's
+  // effective window and shard footprint, and planning must not notice.
+  // Replayed request by request, speculating against
+  // capture(ledger, window, mask) must give the status and plan that
+  // speculating against the whole-residual capture(ledger) gives.
   {
-    const FeasibilitySnapshot snap = FeasibilitySnapshot::capture(seq.ledger());
-    rec.expect("snapshot-revision", snap.revision() == seq.ledger().revision(),
-               [&] { return std::string("capture() revision != ledger revision"); });
-    std::vector<TimeInterval> probes;
-    for (int i = 0; i < 3; ++i) {
-      const TimeInterval base = g.admission_window();
-      probes.push_back(base);
-      // A strict subwindow (cache hit by containment) and an overlap.
-      probes.emplace_back(base.start() + base.length() / 3,
-                          base.end() - base.length() / 4);
-      probes.emplace_back(base.start() + base.length() / 2,
-                          base.end() + g.rng().uniform(1, 6));
-    }
-    for (const TimeInterval& probe : probes) {
-      const ResourceSet& served = snap.restricted(probe);
-      rec.expect(
-          "snapshot-cache-audit",
-          served.restricted(probe) == seq.ledger().residual().restricted(probe),
-          [&] {
-            return "cached restriction to " + probe.to_string() +
-                   " diverges from the uncached restriction";
-          });
+    CommitmentLedger ledger(supply, 0);
+    const PlanningKernel kernel;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const BatchRequest& r = requests[i];
+      const FeasibilitySnapshot whole = FeasibilitySnapshot::capture(ledger);
+      rec.expect("snapshot-revision", whole.revision() == ledger.revision(),
+                 [&] { return std::string("capture() revision != ledger revision"); });
+      const FeasibilitySnapshot windowed = FeasibilitySnapshot::capture(
+          ledger, effective_window(r.rho, r.at), touched_shard_mask(r.rho));
+      const PlanResult full = kernel.speculate(r.rho, r.at, whole);
+      const PlanResult narrow = kernel.speculate(r.rho, r.at, windowed);
+      rec.expect("snapshot-window-parity",
+                 full.status == narrow.status && full.plan == narrow.plan, [&] {
+                   std::ostringstream out;
+                   out << "request " << i << " (" << r.rho.name() << ") at "
+                       << r.at << ": windowed capture "
+                       << (narrow.feasible() ? "feasible" : narrow.reject_reason())
+                       << ", whole capture "
+                       << (full.feasible() ? "feasible" : full.reject_reason())
+                       << (full.status == narrow.status ? " (plans differ)" : "");
+                   return out.str();
+                 });
+      AdmissionDecision ignored;
+      kernel.commit(narrow, ledger, ignored);
+      ledger.expire();
     }
   }
 
@@ -637,30 +641,28 @@ void kernel_case(Gen& g, Recorder& rec) {
     const FeasibilitySnapshot snap = FeasibilitySnapshot::capture(seq.ledger());
     const Tick s = rho.window().start();
     const Tick latest = rho.window().end() + g.rng().uniform(2, 8);
-    const auto probe = [&](const TimeInterval& w, const TimeInterval& focus) {
-      return kernel
-          .speculate_within(clip_requirement(rho, w), w.start(), snap, focus)
-          .feasible();
+    const auto probe = [&](const TimeInterval& w) {
+      return kernel.speculate(clip_requirement(rho, w), w.start(), snap).feasible();
     };
-    const TimeInterval d_focus(s, latest);
+    const TimeInterval widest(s, latest);
     const auto d_star = earliest_feasible_deadline(snap, rho, latest, kernel);
     if (d_star) {
       rec.expect("nego-deadline-feasible",
-                 probe(TimeInterval(s, *d_star), d_focus), [&] {
+                 probe(TimeInterval(s, *d_star)), [&] {
                    return "earliest_feasible_deadline returned d = " +
                           std::to_string(*d_star) +
                           " but the direct probe rejects it";
                  });
       if (*d_star > s + 1) {
         rec.expect("nego-deadline-minimal",
-                   !probe(TimeInterval(s, *d_star - 1), d_focus), [&] {
+                   !probe(TimeInterval(s, *d_star - 1)), [&] {
                      return "d = " + std::to_string(*d_star) +
                             " is not minimal: d-1 also fits";
                    });
       }
     } else {
-      rec.expect("nego-deadline-exhausted", !probe(d_focus, d_focus), [&] {
-        return "nullopt although the widest window [" + d_focus.to_string() +
+      rec.expect("nego-deadline-exhausted", !probe(widest), [&] {
+        return "nullopt although the widest window [" + widest.to_string() +
                ") fits";
       });
     }
@@ -668,20 +670,20 @@ void kernel_case(Gen& g, Recorder& rec) {
     const Tick d = rho.window().end();
     if (s_star) {
       rec.expect("nego-start-feasible",
-                 probe(TimeInterval(*s_star, d), rho.window()), [&] {
+                 probe(TimeInterval(*s_star, d)), [&] {
                    return "latest_feasible_start returned s = " +
                           std::to_string(*s_star) +
                           " but the direct probe rejects it";
                  });
       if (*s_star + 1 < d) {
         rec.expect("nego-start-maximal",
-                   !probe(TimeInterval(*s_star + 1, d), rho.window()), [&] {
+                   !probe(TimeInterval(*s_star + 1, d)), [&] {
                      return "s = " + std::to_string(*s_star) +
                             " is not maximal: s+1 also fits";
                    });
       }
     } else {
-      rec.expect("nego-start-exhausted", !probe(rho.window(), rho.window()),
+      rec.expect("nego-start-exhausted", !probe(rho.window()),
                  [&] {
                    return "nullopt although the original window " +
                           rho.window().to_string() + " fits";

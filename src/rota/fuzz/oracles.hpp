@@ -6,8 +6,10 @@
 //     clamp, shift, coarsen) and the relative_complement ⇔ dominates pin.
 //   kernel   — random workloads where the batched admission pipeline at
 //     1–8 lanes must reproduce the sequential controller's decisions bit for
-//     bit, plus FeasibilitySnapshot restriction-cache and stale-commit
-//     audits and WAL-replay residual reproduction.
+//     bit, plus a FeasibilitySnapshot window-parity audit (a capture of a
+//     request's effective window and shard footprint plans exactly like a
+//     whole-residual capture), stale-commit and negotiation audits, and
+//     WAL-replay residual reproduction.
 //   sim      — greedy runs, explorer searches, model-checker verdicts and
 //     cluster executions cross-checked: Θ_expire against an independent
 //     tick-replay referee, single-actor satisfy() against brute-force

@@ -58,11 +58,11 @@ namespace {
 constexpr FeasibilityOptions kKernelProbeOptions{/*node_budget=*/20'000,
                                                  /*max_ticks=*/256};
 
-PlanResult speculate_against(const ConcurrentRequirement& rho, Tick at,
-                             const FeasibilitySnapshot& snapshot,
-                             const ResourceSet* focused_view,
-                             PlanningPolicy policy,
-                             const SpeculateOptions& options = {}) {
+}  // namespace
+
+PlanResult PlanningKernel::speculate(const ConcurrentRequirement& rho, Tick at,
+                                     const FeasibilitySnapshot& snapshot,
+                                     const SpeculateOptions& options) const {
   PlanResult result;
   result.computation = rho.name();
   result.at = at;
@@ -87,13 +87,9 @@ PlanResult speculate_against(const ConcurrentRequirement& rho, Tick at,
   ROTA_OBS_SPAN("plan.speculate");
   const bool metered = obs::metrics_enabled();
   if (metered) obs::CoreMetrics::get().plan_speculations.add();
-  const ResourceSet& view =
-      options.view_override != nullptr
-          ? *options.view_override
-          : (focused_view != nullptr
-                 ? *focused_view
-                 : (snapshot.pre_restricted() ? snapshot.view()
-                                              : snapshot.restricted(result.window)));
+  const ResourceSet& view = options.view_override != nullptr
+                               ? *options.view_override
+                               : snapshot.view();
   // Most requests arrive before their window opens, so the clip is a no-op;
   // skip the requirement deep-copy when every actor window already matches.
   const bool clip_needed =
@@ -105,8 +101,8 @@ PlanResult speculate_against(const ConcurrentRequirement& rho, Tick at,
   std::optional<ConcurrentRequirement> clipped;
   if (clip_needed) clipped.emplace(clip_requirement(rho, result.window));
   const ConcurrentRequirement& effective = clipped ? *clipped : rho;
-  auto plan = plan_concurrent(view, effective, policy);
-  if (!plan && policy == PlanningPolicy::kAsap && effective.actors().size() > 1 &&
+  auto plan = plan_concurrent(view, effective, policy_);
+  if (!plan && policy_ == PlanningPolicy::kAsap && effective.actors().size() > 1 &&
       options.symbolic_rescue) {
     // The sequential planner admits actors one at a time and its rejection of
     // a contended multi-actor requirement can be spurious (order-sensitive).
@@ -144,36 +140,12 @@ PlanResult speculate_against(const ConcurrentRequirement& rho, Tick at,
   return result;
 }
 
-}  // namespace
-
-PlanResult PlanningKernel::speculate(const ConcurrentRequirement& rho, Tick at,
-                                     const FeasibilitySnapshot& snapshot) const {
-  return speculate_against(rho, at, snapshot, nullptr, policy_);
-}
-
-PlanResult PlanningKernel::speculate(const ConcurrentRequirement& rho, Tick at,
-                                     const FeasibilitySnapshot& snapshot,
-                                     const SpeculateOptions& options) const {
-  return speculate_against(rho, at, snapshot, nullptr, policy_, options);
-}
-
-PlanResult PlanningKernel::speculate_within(const ConcurrentRequirement& rho,
-                                            Tick at,
-                                            const FeasibilitySnapshot& snapshot,
-                                            const TimeInterval& focus) const {
-  const ResourceSet& view = snapshot.restricted(focus);
-  return speculate_against(rho, at, snapshot, &view, policy_);
-}
-
 std::optional<ActorPlan> PlanningKernel::speculate_actor(
     const ComplexRequirement& requirement,
     const FeasibilitySnapshot& snapshot) const {
   ROTA_OBS_SPAN("plan.speculate");
   if (obs::metrics_enabled()) obs::CoreMetrics::get().plan_speculations.add();
-  auto plan = plan_actor(snapshot.pre_restricted()
-                             ? snapshot.view()
-                             : snapshot.restricted(requirement.window()),
-                         requirement, policy_);
+  auto plan = plan_actor(snapshot.view(), requirement, policy_);
   if (plan && obs::metrics_enabled()) {
     obs::CoreMetrics::get().plan_speculations_feasible.add();
   }
@@ -247,9 +219,12 @@ AdmissionDecision PlanningKernel::decide(CommitmentLedger& ledger,
                                          Tick at) const {
   AdmissionDecision decision;
   // Sequentially the snapshot cannot go stale between speculate and commit;
-  // the loop is belt-and-braces for exotic callers.
+  // the loop is belt-and-braces for exotic callers. The capture keeps every
+  // shard: masking it to touched_shard_mask(rho) would be cheaper still, but
+  // see docs/performance.md for why that is deferred.
   do {
-    const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(ledger);
+    const FeasibilitySnapshot snapshot =
+        FeasibilitySnapshot::capture(ledger, effective_window(rho, at), kAllShards);
     const PlanResult result = speculate(rho, at, snapshot);
     if (commit(result, ledger, decision) == CommitStatus::kCommitted) break;
   } while (true);

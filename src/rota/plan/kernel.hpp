@@ -10,10 +10,11 @@
 // differently:
 //
 //   speculate(rho, at, snapshot) — pure. Clips the requirement window to the
-//     arrival tick, plans against the snapshot's availability view, and
-//     returns a PlanResult stamped with the snapshot's revision. Thread-safe
-//     and side-effect free: any number of lanes may speculate against one
-//     snapshot concurrently.
+//     arrival tick, plans against the snapshot's availability view (which
+//     the snapshot owns unless it came from over()), and returns a
+//     PlanResult stamped with the snapshot's revision. Thread-safe and
+//     side-effect free: any number of lanes may speculate against one
+//     snapshot concurrently, and a ledger write racing them cannot reach it.
 //
 //   commit(result, ledger)       — the only writer. Refuses (kStale, ledger
 //     untouched) whenever the result's revision no longer matches the
@@ -24,9 +25,9 @@
 //     caller commits in. commit() never expires the ledger: the admission
 //     service commits directly and keeps its whole history.
 //
-// decide() is the sequential composition (speculate against a fresh
-// snapshot, commit, then expire the ledger at its new clock; retry on the
-// impossible-in-sequence stale case) and replay() is the crash-recovery
+// decide() is the sequential composition (capture the request's effective
+// window, speculate, commit, then expire the ledger at its new clock; retry
+// on the impossible-in-sequence stale case) and replay() is the crash-recovery
 // variant that re-admits an audited plan through the same commit gate, so
 // even a WAL rebuild cannot bypass the revision-checked path.
 //
@@ -113,9 +114,8 @@ enum class CommitStatus {
   kStale,      // revision moved since speculation; nothing issued
 };
 
-/// Knobs for the budget-aware speculate entry point. Defaults reproduce the
-/// plain speculate() exactly; the admission service's anytime strategies vary
-/// them per request.
+/// Knobs for speculate(). The defaults plan exactly; the admission
+/// service's anytime strategies vary them per request.
 struct SpeculateOptions {
   /// Checked at speculation boundaries (entry, and between the greedy ladder
   /// and the symbolic rescue). Expired => PlanStatus::kCancelled. May be
@@ -142,27 +142,14 @@ class PlanningKernel {
 
   PlanningPolicy policy() const { return policy_; }
 
-  /// Pure speculation against a frozen snapshot. Plans against the
-  /// snapshot's view directly when it is pre-restricted (hull views, bare
-  /// supplies), and through the snapshot's restriction cache otherwise.
-  PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
-                       const FeasibilitySnapshot& snapshot) const;
-
-  /// Budget-aware speculation: speculate() with a cancellation token checked
-  /// at speculation boundaries, an optional rescue opt-out, and an optional
-  /// dominated-view override (see SpeculateOptions). With default options
-  /// this is bit-identical to speculate().
+  /// Pure speculation against a frozen snapshot's view. The view must cover
+  /// the requirement's effective window and shard footprint. `options` adds
+  /// a cancellation token checked at speculation boundaries, a rescue
+  /// opt-out and a dominated-view override (see SpeculateOptions); the
+  /// defaults plan exactly.
   PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
                        const FeasibilitySnapshot& snapshot,
-                       const SpeculateOptions& options) const;
-
-  /// Speculation against the snapshot restricted to `focus` (served from the
-  /// snapshot's restriction cache). `focus` must cover the requirement's
-  /// effective window; monotone searches probing many candidate windows
-  /// inside one focus pay for a single restriction.
-  PlanResult speculate_within(const ConcurrentRequirement& rho, Tick at,
-                              const FeasibilitySnapshot& snapshot,
-                              const TimeInterval& focus) const;
+                       const SpeculateOptions& options = {}) const;
 
   /// Single-actor speculation (the migration advisor's scoring path): plans
   /// one complex requirement against the snapshot's view.

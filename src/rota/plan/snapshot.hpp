@@ -1,49 +1,41 @@
 // FeasibilitySnapshot: one immutable, revision-stamped view of the residual
 // supply — the input side of the planning kernel.
 //
-// Every admission surface used to freeze its own copy of "what is left"
-// before reasoning about a newcomer: the sequential controller restricted
-// the residual per request, the batch pipeline built a hull view per round,
-// negotiation restricted per probe, cluster probes per message. The snapshot
-// unifies those freezes behind one type:
+// Theorem 4 admits a newcomer using only Θ inside its own window
+// (max(s, t), d). A capture of a live ledger therefore copies just that part
+// of the residual and owns it, so nothing a later ledger write does can
+// reach a speculation running against the snapshot:
 //
-//   * capture(ledger)        — borrows the ledger's cached residual at its
-//     current revision. Planning restricts per request (through the cache),
-//     exactly as the sequential controller always has.
-//   * capture(ledger, hull)  — owns one hull-restricted copy of the
-//     residual. Planning reads it directly: the planner only ever looks at
-//     availability inside a requirement's window, so any view whose window
-//     covers the request hull yields bit-identical plans at one restriction
-//     per round instead of one per request (the batch pipeline's
-//     amortization, now shared).
+//   * capture(ledger, window, mask) — the admission capture. Owns the
+//     residual restricted to `window`, keeping only types whose shard is in
+//     `mask`. The sequential decide(), the batch round (over its request
+//     hull), the daemon's lanes, cluster probes, negotiation and periodic
+//     series all plan against one of these.
+//   * capture(ledger)        — an owned copy of the whole residual, for tests
+//     and fuzz oracles that speculate anything against one snapshot.
 //   * over(supply)           — borrows an arbitrary availability (gossiped
 //     digests, baseline probes, negotiation what-ifs). Speculation-only: its
 //     revision never matches a live ledger, so commits are refused as stale.
+//     It is the one snapshot that aliases its source, which must outlive it.
 //   * minus(plan)            — a derived what-if snapshot with one plan's
-//     usage subtracted; chains speculative admissions (periodic probes,
-//     admissible copies) without copying a controller.
+//     usage subtracted; chains speculative admissions (sustainable periodic
+//     instances, admissible copies) without copying a controller.
 //
-// Borrowing snapshots alias the source set; they must not outlive it, and a
-// ledger commit invalidates what capture(ledger) borrowed — the revision
-// stamp turns that staleness into a checkable property instead of a bug.
+// Speculation plans against view() as it stands: the planner reads
+// availability only inside the requirement window and only for demanded
+// types, so any view covering both yields bit-identical plans.
 //
-// A capture also freezes the ledger's lapse point (lapsed_before()). Expiry
-// bumps no revision, because it changes nothing at or after the lapse point;
-// what it does change — the residual before it — only matters to a request
-// whose window starts behind the clock, and the kernel refuses such a result
-// as stale once the lapse point has moved past its snapshot's (see
-// PlanningKernel::commit).
-//
-// The restriction cache memoizes restricted views by window, serving any
-// later window a cached view *contains* (containment is enough: planning
-// never reads outside the requirement window). A deadline search that probes
-// dozens of candidate windows against one snapshot pays for one restriction,
-// not one per candidate. The cache is internally locked, so a snapshot is
-// safely shared across planning lanes.
+// A capture also freezes the ledger's revision, its per-shard revisions and
+// its lapse point (lapsed_before()). The stamps turn "the ledger moved since
+// this snapshot" into a checkable property of every result (see
+// PlanningKernel::commit). Expiry bumps no revision, because it changes
+// nothing at or after the lapse point; what it does change — the residual
+// before it — only matters to a request whose window starts behind the
+// clock, and the kernel refuses such a result as stale once the lapse point
+// has moved past its snapshot's.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "rota/admission/ledger.hpp"
@@ -61,33 +53,23 @@ class FeasibilitySnapshot {
   static constexpr std::uint64_t kDetachedRevision =
       ~static_cast<std::uint64_t>(0);
 
-  FeasibilitySnapshot();
-
-  /// Full-residual snapshot at the ledger's current revision. Borrows the
-  /// residual (no copy) — valid until the next residual-changing ledger
-  /// operation, which the revision stamp detects.
+  /// Whole-residual snapshot at the ledger's current revision: an owned
+  /// copy, so it stays valid across later ledger writes.
   static FeasibilitySnapshot capture(const CommitmentLedger& ledger);
 
-  /// Hull-restricted snapshot: owns residual().restricted(hull) and plans
-  /// against it directly. `hull` must cover the window of every requirement
-  /// later speculated against this snapshot.
+  /// Window- and shard-restricted snapshot: owns the residual restricted to
+  /// `window`, keeping only types whose shard is in `mask`. `window` must
+  /// cover the effective window, and `mask` the shard footprint, of every
+  /// requirement later speculated against this snapshot.
   static FeasibilitySnapshot capture(const CommitmentLedger& ledger,
-                                     const TimeInterval& hull);
-
-  /// Hull- and shard-restricted snapshot: the owned view keeps only types
-  /// whose shard is in `mask`. `mask` must cover the shard footprint of every
-  /// requirement later speculated against this snapshot — planning reads
-  /// only demanded types, so dropping foreign shards changes nothing while
-  /// shrinking the copy a lane pays per round.
-  static FeasibilitySnapshot capture(const CommitmentLedger& ledger,
-                                     const TimeInterval& hull, ShardMask mask);
+                                     const TimeInterval& window, ShardMask mask);
 
   /// Snapshot over a bare availability (digest, baseline supply, what-if).
   /// Borrows `supply`; speculation-only (kDetachedRevision).
   static FeasibilitySnapshot over(const ResourceSet& supply, Tick now = 0);
 
-  /// Derived what-if: this snapshot's planning view minus `plan`'s usage.
-  /// nullopt when the plan is not covered. Speculation-only.
+  /// Derived what-if: this snapshot's view minus `plan`'s usage. nullopt
+  /// when the plan is not covered. Speculation-only.
   std::optional<FeasibilitySnapshot> minus(const ConcurrentPlan& plan) const;
 
   /// Ledger revision this snapshot froze (kDetachedRevision when detached).
@@ -112,31 +94,20 @@ class FeasibilitySnapshot {
   /// detached): the view holds nothing before it.
   Tick lapsed_before() const { return lapsed_before_; }
 
-  /// The availability this snapshot stands for (hull-restricted when built
-  /// with a hull).
+  /// The availability speculation plans against.
   const ResourceSet& view() const { return borrowed_ ? *borrowed_ : owned_; }
 
-  /// True when speculation should plan against view() directly (the view is
-  /// already narrowed, or the caller asked for no per-request restriction).
-  bool pre_restricted() const { return pre_restricted_; }
-
-  /// view() restricted to `window`, memoized. Repeat windows — and windows
-  /// contained in any previously cached one — are served from the cache.
-  /// Thread-safe; the returned reference lives as long as the snapshot.
-  const ResourceSet& restricted(const TimeInterval& window) const;
-
  private:
-  struct Cache;
+  /// Stamps (revision, shard revisions, clock, lapse point) of `ledger`.
+  static FeasibilitySnapshot stamped(const CommitmentLedger& ledger);
 
-  const ResourceSet* borrowed_ = nullptr;  // aliases the source when borrowing
-  ResourceSet owned_;                      // storage when not borrowing
+  const ResourceSet* borrowed_ = nullptr;  // set only by over()
+  ResourceSet owned_;
   std::uint64_t revision_ = kDetachedRevision;
   ShardRevisions shard_revisions_{};       // frozen when has_shard_stamps_
   Tick now_ = 0;
   Tick lapsed_before_ = CommitmentLedger::kNothingLapsed;
-  bool pre_restricted_ = false;
   bool has_shard_stamps_ = false;
-  std::shared_ptr<Cache> cache_;  // lazily grown, internally locked
 };
 
 }  // namespace rota

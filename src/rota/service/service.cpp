@@ -1,6 +1,7 @@
 #include "rota/service/service.hpp"
 
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -38,11 +39,23 @@ AdmissionService::Instruments::Instruments(obs::MetricsRegistry& registry)
   }
 }
 
+namespace {
+
+/// A service with no lane never answers: submits would queue forever.
+const ServiceConfig& validated(const ServiceConfig& config) {
+  if (config.lanes == 0) {
+    throw std::invalid_argument("AdmissionService: lanes must be at least 1");
+  }
+  return config;
+}
+
+}  // namespace
+
 AdmissionService::AdmissionService(CommitmentLedger& ledger, CostModel phi,
                                    ServiceConfig config)
     : ledger_(ledger),
       phi_(std::move(phi)),
-      config_(config),
+      config_(validated(config)),
       m_(metrics_),
       registry_(kernel_, config.digest_max_segments ? config.digest_max_segments : 1),
       governor_(config.governor),

@@ -53,7 +53,7 @@
 namespace rota::service {
 
 struct ServiceConfig {
-  std::size_t lanes = 2;                    // planning lanes (pool workers)
+  std::size_t lanes = 2;                    // planning lanes (pool workers), >= 1
   std::size_t queue_capacity = 64;          // admission queue bound
   std::uint64_t default_budget_us = 20'000; // budget when a request says 0
   std::size_t digest_max_segments = 64;     // kDigest hull resolution

@@ -45,9 +45,7 @@ class DigestStrategy final : public AnytimeStrategy {
     // The hull is dominated by the true view everywhere (bucket-minimum
     // compaction), so planning against it can only under-promise: feasible
     // plans transfer to the live residual unchanged.
-    const ResourceSet hull = cluster::compact_hull(
-        snapshot.pre_restricted() ? snapshot.view() : snapshot.restricted(window),
-        max_segments_);
+    const ResourceSet hull = cluster::compact_hull(snapshot.view(), max_segments_);
     options.view_override = &hull;
     return kernel_.speculate(rho, at, snapshot, options);
   }

@@ -368,9 +368,9 @@ TEST(Federation, TwoDaemonEndToEndOverUnixSockets) {
 }
 
 // The peer-facing backend speculates outside the ledger mutex while the
-// service's lanes commit. Its snapshots must be owned copies like the lanes'
-// own: a borrowed capture aliases the residual that a lane's commit
-// reassigns, a data race ThreadSanitizer reports. Afterwards the books
+// service's lanes commit. Its snapshots are owned copies like the lanes'
+// own: a view aliasing the residual that a lane's commit reassigns would be
+// a data race ThreadSanitizer reports. Afterwards the books
 // balance: every local accept and every accepted claim is one admitted
 // record, and no accept was refused at commit.
 TEST(Federation, PeerProbesAndClaimsRaceTheLanesSafely) {

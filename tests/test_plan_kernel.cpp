@@ -8,13 +8,16 @@
 // plans, rejection reasons) and leaves the ledger in the same state. They
 // also pin the optimistic-concurrency contract (stale speculations are
 // refused and redone, never committed), the audit-replay rebuild path, the
-// negotiation search against a per-window reference, and the snapshot
-// restriction cache's containment rule.
+// negotiation search against a per-window reference, and a snapshot that
+// outlives the ledger's next write.
 #include "rota/plan/kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "rota/admission/audit.hpp"
@@ -25,7 +28,6 @@
 #include "rota/logic/planner.hpp"
 #include "rota/logic/symbolic/feasibility.hpp"
 #include "rota/runtime/batch_controller.hpp"
-#include "rota/util/rng.hpp"
 #include "rota/workload/generator.hpp"
 
 namespace rota {
@@ -325,12 +327,11 @@ TEST(PlanKernelStaleness, StalenessRedoAndAuditReplayConverge) {
 }
 
 // ---------------------------------------------------------------------------
-// Negotiation: the cached-restriction search must return exactly what the
-// historical per-window-restriction search returned.
+// Negotiation: the one-capture search must return exactly what a
+// per-window-restriction search returns.
 
 /// Reference implementation of the deadline search: every probe restricts
-/// the residual to its own candidate window (what each surface did before
-/// the snapshot's restriction cache) and calls the planner directly —
+/// the residual to its own candidate window and calls the planner directly —
 /// including the kernel's symbolic rescue of order-sensitive greedy
 /// rejections, so the reference probes the same feasibility predicate the
 /// kernel does (same budget, see kKernelProbeOptions in plan/kernel.cpp).
@@ -404,73 +405,100 @@ TEST(NegotiationRegression, CounterOffersMatchPerWindowReferenceSearch) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot restriction cache.
+// A snapshot outlives the ledger's next write.
 
-TEST(FeasibilitySnapshotCache, ContainedWindowsShareOneRestriction) {
-  Location site("cache-l1");
+TEST(PlanKernelOwnedSnapshot, SpeculationAgainstACaptureSurvivesConcurrentCommits) {
+  // One thread speculates against a captured snapshot while another commits
+  // through the same ledger under a mutex. The capture owns its view, so the
+  // writes cannot reach it: every plan equals the one taken from a copy of
+  // the residual made before the first write, and each result's commit
+  // comes back stale or shard-salvaged exactly as the shards the writes
+  // touched predict.
+  const Location busy("owned-busy"), quiet("owned-quiet");
+  ASSERT_NE(shard_of(LocatedType::cpu(busy)), shard_of(LocatedType::cpu(quiet)));
   CostModel phi;
   ResourceSet supply;
-  supply.add(4, TimeInterval(0, 200), LocatedType::cpu(site));
-  RotaAdmissionController controller(phi, supply);
+  supply.add(6, TimeInterval(0, 400), LocatedType::cpu(busy));
+  supply.add(6, TimeInterval(0, 400), LocatedType::cpu(quiet));
+  CommitmentLedger ledger(supply);
+  std::mutex ledger_mutex;
+  const PlanningKernel kernel;
 
-  const FeasibilitySnapshot snapshot =
-      FeasibilitySnapshot::capture(controller.ledger());
-  const ResourceSet& wide = snapshot.restricted(TimeInterval(0, 100));
-  // A contained window is served from the cached wide view (the planner
-  // never reads outside the requirement window, so containment is enough).
-  const ResourceSet& narrow = snapshot.restricted(TimeInterval(20, 60));
-  EXPECT_EQ(&wide, &narrow);
-  EXPECT_EQ(&wide, &snapshot.restricted(TimeInterval(0, 100)));
-  // A window outside every cached one gets its own restriction...
-  const ResourceSet& disjoint = snapshot.restricted(TimeInterval(120, 180));
-  EXPECT_NE(&wide, &disjoint);
-  // ...and restriction semantics are unchanged by the cache.
-  EXPECT_EQ(disjoint, controller.ledger().residual().restricted(TimeInterval(120, 180)));
-}
-
-TEST(SnapshotCache, RandomizedWindowMixMatchesUncachedRestrictions) {
-  // Seeded property test: whatever mix of nested, overlapping, repeated and
-  // disjoint windows the cache is probed with — and in whatever order — the
-  // served view re-restricted to the probe window must equal a fresh
-  // uncached restriction of the residual. Containment-based cache hits may
-  // legitimately hand back a *wider* view, so the probe, not the view, is
-  // the unit of comparison.
-  CostModel phi;
-  WorkloadGenerator gen(parity_config(), phi);
-  const ResourceSet supply = gen.base_supply(TimeInterval(0, kHorizon));
-  RotaAdmissionController controller(phi, supply);
-  for (const BatchRequest& r : parity_requests(gen)) {
-    controller.request(r.rho, r.at);
+  std::vector<ConcurrentRequirement> probes;
+  for (int i = 0; i < 8; ++i) {
+    probes.push_back(make_concurrent_requirement(
+        phi, simple_job("probe" + std::to_string(i), i % 2 == 0 ? busy : quiet,
+                        1 + i, 200 + 10 * i)));
   }
-  const ResourceSet& residual = controller.ledger().residual();
+  std::vector<ConcurrentRequirement> writes;
+  for (int i = 0; i < 40; ++i) {
+    writes.push_back(make_concurrent_requirement(
+        phi, simple_job("write" + std::to_string(i), busy, 1, 400)));
+  }
 
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const FeasibilitySnapshot snapshot =
-        FeasibilitySnapshot::capture(controller.ledger());
-    util::Rng rng(seed * 977 + 11);
-    std::vector<TimeInterval> probes;
-    for (int i = 0; i < 8; ++i) {
-      const Tick start = rng.uniform(0, kHorizon);
-      const Tick len = rng.uniform(1, 80);
-      const TimeInterval base(start, start + len);
-      probes.push_back(base);
-      // A nested subwindow and an overlapping shift of an earlier probe.
-      probes.emplace_back(base.start() + len / 4, base.end() - len / 3);
-      const TimeInterval& prior = probes[rng.index(probes.size())];
-      probes.emplace_back(prior.start() + rng.uniform(0, 10),
-                          prior.end() + rng.uniform(1, 10));
+  const ResourceSet pre_write = ledger.residual();
+  const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(ledger);
+  std::vector<PlanResult> expected;
+  for (const ConcurrentRequirement& rho : probes) {
+    expected.push_back(kernel.speculate(rho, 0, FeasibilitySnapshot::over(pre_write)));
+  }
+
+  std::atomic<bool> go{false};
+  std::size_t writes_accepted = 0;
+  std::thread writer([&] {
+    while (!go.load()) {
     }
-    // Repeat a few verbatim so the memoized path is exercised too.
-    probes.push_back(probes[rng.index(probes.size())]);
-    probes.push_back(probes[rng.index(probes.size())]);
+    for (const ConcurrentRequirement& rho : writes) {
+      std::lock_guard<std::mutex> lock(ledger_mutex);
+      const PlanResult result = kernel.speculate(
+          rho, 0,
+          FeasibilitySnapshot::capture(ledger, effective_window(rho, 0),
+                                       touched_shard_mask(rho)));
+      AdmissionDecision out;
+      if (kernel.commit(result, ledger, out) == CommitStatus::kCommitted &&
+          out.accepted) {
+        ++writes_accepted;
+      }
+    }
+  });
+  std::vector<PlanResult> results(probes.size());
+  std::size_t mismatches = 0;
+  std::thread speculator([&] {
+    go.store(true);
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        results[i] = kernel.speculate(probes[i], 0, snapshot);
+        if (results[i].status != expected[i].status ||
+            results[i].plan != expected[i].plan) {
+          ++mismatches;
+        }
+      }
+    }
+  });
+  speculator.join();
+  writer.join();
 
-    for (const TimeInterval& probe : probes) {
-      if (probe.empty()) continue;
-      const ResourceSet& served = snapshot.restricted(probe);
-      EXPECT_EQ(served.restricted(probe), residual.restricted(probe))
-          << "seed " << seed << ", probe " << probe.to_string();
+  EXPECT_EQ(mismatches, 0u);
+  ASSERT_GT(writes_accepted, 0u);
+  ASSERT_NE(ledger.revision(), snapshot.revision());
+  // Replay the probes' commits against the model: a result commits (is
+  // salvaged) iff no accepted write touched its shard footprint since the
+  // capture, and each salvaged accept dirties its own footprint.
+  ShardMask dirty = touched_shard_mask(writes.front());
+  std::size_t salvaged = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].feasible()) << probes[i].name();
+    const bool predicted = (results[i].touched_mask & dirty) == 0;
+    AdmissionDecision out;
+    const CommitStatus status = kernel.commit(results[i], ledger, out);
+    EXPECT_EQ(status == CommitStatus::kCommitted, predicted) << probes[i].name();
+    if (status == CommitStatus::kCommitted) {
+      ++salvaged;
+      EXPECT_TRUE(out.accepted) << probes[i].name();
+      dirty |= results[i].touched_mask;
     }
   }
+  EXPECT_EQ(salvaged, 1u) << "exactly the first quiet-site probe is salvaged";
 }
 
 // ---- budget-aware speculation (the admission service's entry point) -------
@@ -549,7 +577,7 @@ TEST(PlanKernelBudget, ViewOverridePlansAgainstTheHullButKeepsStamps) {
       TimeInterval(0, 100));
 
   const FeasibilitySnapshot snapshot =
-      FeasibilitySnapshot::capture(ledger, TimeInterval(0, 100));
+      FeasibilitySnapshot::capture(ledger, TimeInterval(0, 100), kAllShards);
   ResourceSet hull;
   hull.add(4, TimeInterval(0, 100), LocatedType::cpu(site));  // dominated
   SpeculateOptions options;

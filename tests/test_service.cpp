@@ -398,6 +398,22 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
   EXPECT_EQ(svc.stats().counter("service.shed_queue"), 4u);
 }
 
+// Without a lane nothing would ever dequeue a submit: the service refuses to
+// be built rather than swallow requests.
+TEST(ServiceConfigCheck, ZeroLanesIsRefusedAtConstruction) {
+  WorkloadGenerator gen = make_generator(16);
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+  ServiceConfig config;
+  config.lanes = 0;
+  EXPECT_THROW(AdmissionService(ledger, gen.phi(), config), std::invalid_argument);
+  config.lanes = 1;
+  AdmissionService svc(ledger, gen.phi(), config);
+  AdmitResponse answer;
+  svc.submit(make_request(gen, 1, 0), [&](const AdmitResponse& r) { answer = r; });
+  svc.drain_and_stop();
+  EXPECT_EQ(answer.id, 1u) << "a one-lane service answers";
+}
+
 TEST(ServiceShedding, DrainAnswersEverythingAndStopsIntake) {
   WorkloadGenerator gen = make_generator(15);
   CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
