@@ -7,8 +7,10 @@
 // The flagship cell is the ISSUE acceptance configuration: 8 nodes, 5% link
 // loss, a mid-run crash of the hottest peer followed by an audit-log
 // recovery. The bench exits non-zero if the federated hit rate there falls
-// below the local-only baseline, or if two identically-seeded runs disagree
-// on a single decision.
+// below the local-only baseline, if two identically-seeded runs disagree on a
+// single decision, or if the flagship decision log's FNV-1a 64 digest
+// (flagship.decision_digest) differs from the pin beside kSeed. A deliberate
+// decision change re-pins it.
 //
 // The workload is skewed on purpose: 70% of jobs arrive at node 0, so the
 // hot node drowns unless the probe/offer/claim protocol moves work to the
@@ -32,6 +34,8 @@ constexpr Tick kArrivalWindow = 400;
 constexpr Tick kHorizon = 600;
 constexpr double kHotFraction = 0.7;
 constexpr std::uint64_t kSeed = 2026;
+// Flagship decision-log digest for kSeed.
+constexpr const char* kFlagshipDigest = "b805736886880956";
 
 struct Cell {
   std::size_t nodes = 0;
@@ -178,6 +182,13 @@ int main(int argc, char** argv) {
   }
   std::cout << "determinism: rerun decision log identical ("
             << flagship.submitted << " decisions)\n";
+  const std::string digest = decision_digest(flagship.decision_log);
+  std::cout << "flagship decision digest: " << digest << "\n";
+  if (digest != kFlagshipDigest) {
+    std::cerr << "FATAL: flagship decision digest " << digest
+              << " differs from the pinned " << kFlagshipDigest << "\n";
+    return 1;
+  }
 
   std::ofstream out(path);
   out << "{\n"
@@ -199,6 +210,7 @@ int main(int argc, char** argv) {
       << "  \"flagship\": {\n"
       << "    \"federated_hit_rate\": " << flagship.hit_rate << ",\n"
       << "    \"local_only_hit_rate\": " << flagship_local.hit_rate << ",\n"
+      << "    \"decision_digest\": \"" << digest << "\",\n"
       << "    \"determinism\": \"rerun decision log identical\"\n"
       << "  }\n"
       << "}\n";

@@ -1,5 +1,5 @@
-// E19: admission-as-a-service under load — anytime strategies, the SLO
-// governor, and load shedding.
+// E19: admission-as-a-service under load — the bounded queue and the
+// per-request planning budget.
 //
 // Two load shapes against the in-process AdmissionService (the daemon core;
 // the socket layer adds nothing to planning latency worth benchmarking here),
@@ -7,24 +7,21 @@
 // redirect):
 //
 //   light — an open-loop trickle (diurnal pattern, wall-clock gaps far wider
-//     than exact planning time). The governor must never leave kExact: at
-//     least 99% of requests are decided by the exact kernel within budget
-//     and nothing is shed.
+//     than planning time). Nothing is shed.
 //
 //   flash — a flash crowd: producers flood requests far faster than the
 //     lanes can plan. The bounded queue must shed (kOverloaded, never
-//     silence), the governor must demote at least once, the queue depth must
-//     stay within its bound, and the p99 planning latency of *served*
-//     requests must stay within the SLO — overload degrades acceptance
-//     latency for the shed, never decision latency for the served.
+//     silence), the queue depth must stay within its bound, and the p99
+//     planning latency of *served* requests must stay within the SLO —
+//     overload costs the shed requests an answer of "overloaded", never the
+//     served ones a slow decision.
 //
 //   calm  — a slow tail after the crowd, arriving past the flash's last
-//     tick: the governor must promote back toward kExact once pressure
-//     clears, and the phase must admit something.
+//     tick: once the queue has drained, the phase must admit something.
 //
-// Safety gate, both phases: service.revalidations_failed == 0 — every accept
-// from every rung carried a plan the live residual covered at commit. Any
-// violation is fatal (exit 1) and the artifact is not written.
+// Safety gate, every phase: service.revalidations_failed == 0 — every accept
+// carried a plan the live residual covered at commit. Any violation is fatal
+// (exit 1) and the artifact is not written.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -66,13 +63,6 @@ struct Collector {
     std::unique_lock<std::mutex> lock(mutex);
     all_in.wait(lock, [&] { return responses.size() >= expected; });
   }
-  std::size_t served_by(const char* strategy) const {
-    std::size_t n = 0;
-    for (const auto& r : responses) {
-      if (r.strategy == strategy) ++n;
-    }
-    return n;
-  }
   std::size_t with_verdict(Verdict v) const {
     std::size_t n = 0;
     for (const auto& r : responses) {
@@ -95,9 +85,7 @@ struct PhaseReport {
   std::size_t accepted = 0;
   std::size_t rejected = 0;
   std::size_t shed = 0;
-  std::size_t by_exact = 0, by_digest = 0, by_greedy = 0;
   std::uint64_t p99_planning_ns = 0;
-  std::uint64_t demotions = 0, promotions = 0;
   std::uint64_t max_queue_depth = 0;
 };
 
@@ -108,26 +96,17 @@ PhaseReport report_of(const Collector& collected,
   r.accepted = collected.with_verdict(Verdict::kAccepted);
   r.rejected = collected.with_verdict(Verdict::kRejected);
   r.shed = collected.with_verdict(Verdict::kOverloaded);
-  r.by_exact = collected.served_by("exact");
-  r.by_digest = collected.served_by("digest");
-  r.by_greedy = collected.served_by("greedy");
   r.p99_planning_ns =
       stats.histograms.at("service.planning_ns").quantile_upper_bound(0.99);
-  r.demotions = stats.counter("service.demotions");
-  r.promotions = stats.counter("service.promotions");
   r.max_queue_depth = max_queue_depth(stats);
   return r;
 }
 
 void print_phase(const char* name, const PhaseReport& r) {
   std::printf(
-      "%-6s %5zu req  %4zu acc  %4zu rej  %4zu shed  "
-      "exact/digest/greedy %zu/%zu/%zu  p99 %.2fms  demote %llu  "
-      "promote %llu  maxq %llu\n",
-      name, r.requests, r.accepted, r.rejected, r.shed, r.by_exact, r.by_digest,
-      r.by_greedy, static_cast<double>(r.p99_planning_ns) / 1e6,
-      static_cast<unsigned long long>(r.demotions),
-      static_cast<unsigned long long>(r.promotions),
+      "%-6s %5zu req  %4zu acc  %4zu rej  %4zu shed  p99 %.2fms  maxq %llu\n",
+      name, r.requests, r.accepted, r.rejected, r.shed,
+      static_cast<double>(r.p99_planning_ns) / 1e6,
       static_cast<unsigned long long>(r.max_queue_depth));
 }
 
@@ -135,11 +114,8 @@ void write_phase(std::ofstream& out, const char* name, const PhaseReport& r,
                  bool trailing_comma) {
   out << "  \"" << name << "\": {\"requests\": " << r.requests
       << ", \"accepted\": " << r.accepted << ", \"rejected\": " << r.rejected
-      << ", \"shed\": " << r.shed << ", \"by_exact\": " << r.by_exact
-      << ", \"by_digest\": " << r.by_digest << ", \"by_greedy\": " << r.by_greedy
+      << ", \"shed\": " << r.shed
       << ", \"p99_planning_ns\": " << r.p99_planning_ns
-      << ", \"demotions\": " << r.demotions
-      << ", \"promotions\": " << r.promotions
       << ", \"max_queue_depth\": " << r.max_queue_depth << "}"
       << (trailing_comma ? "," : "") << "\n";
 }
@@ -163,7 +139,7 @@ int main(int argc, char** argv) {
 
   // ---- Phase 1: light load ------------------------------------------------
   // Diurnal trickle, ~2ms wall-clock between arrivals: orders of magnitude
-  // wider than exact planning, so the governor has no reason to move.
+  // wider than planning, so the queue never fills.
   const std::size_t light_n = smoke ? 120 : 600;
   PhaseReport light;
   {
@@ -173,7 +149,6 @@ int main(int argc, char** argv) {
     config.lanes = 2;
     config.queue_capacity = 64;
     config.default_budget_us = 20'000;
-    config.governor.slo_ns = slo_ns;
     AdmissionService svc(ledger, gen.phi(), config);
 
     ArrivalPattern pattern;
@@ -205,26 +180,18 @@ int main(int argc, char** argv) {
     }
   }
   print_phase("light", light);
-  const double exact_fraction =
-      light.requests == 0
-          ? 0.0
-          : static_cast<double>(light.by_exact) / static_cast<double>(light.requests);
-  if (exact_fraction < 0.99 || light.shed != 0) {
-    std::cerr << "FATAL: light load must be served by kExact without shedding "
-              << "(exact fraction " << exact_fraction << ", shed " << light.shed
-              << ")\n";
+  if (light.shed != 0) {
+    std::cerr << "FATAL: light load shed " << light.shed << " requests\n";
     return 1;
   }
 
   // ---- Phase 2: flash crowd ----------------------------------------------
   // Producers flood the queue far faster than two lanes can plan: the queue
-  // bound turns the excess into explicit sheds and sustained depth drives
-  // the governor down the ladder.
+  // bound turns the excess into explicit sheds.
   const std::size_t flash_n = smoke ? 600 : 3000;
   PhaseReport flash;
   PhaseReport calm;
   std::uint64_t revalidations = 0;
-  int final_level = 0;
   {
     WorkloadGenerator gen = make_generator(2027);
     CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
@@ -232,11 +199,6 @@ int main(int argc, char** argv) {
     config.lanes = 2;
     config.queue_capacity = 64;
     config.default_budget_us = 20'000;
-    config.governor.slo_ns = slo_ns;
-    config.governor.queue_high = 16;
-    config.governor.queue_low = 4;
-    config.governor.demote_after = 4;
-    config.governor.promote_after = smoke ? 16 : 32;
     AdmissionService svc(ledger, gen.phi(), config);
 
     // The flash crowd itself: a pattern whose flash window covers the whole
@@ -275,12 +237,11 @@ int main(int argc, char** argv) {
     collected.await(arrivals.size());
     flash = report_of(collected, svc.stats());
 
-    // ---- Phase 3: calm tail — promotion after pressure clears -------------
+    // ---- Phase 3: calm tail — admission resumes once the queue drains ------
     // Calm arrivals come after the flash's last arrival tick, one base gap
     // apart. Reusing the flash's own ticks would ask again for supply the
     // flash's accepts already hold, and the phase would reject everything.
-    const std::size_t calm_n =
-        static_cast<std::size_t>(config.governor.promote_after) * 2 + 8;
+    const std::size_t calm_n = smoke ? 40 : 72;
     const Tick calm_gap = static_cast<Tick>(pattern.base_mean_interarrival);
     Tick calm_at = 0;
     for (const Arrival& a : arrivals) calm_at = std::max(calm_at, a.at);
@@ -299,27 +260,19 @@ int main(int argc, char** argv) {
     }
     calm_collected.await(calm_n);
     calm = report_of(calm_collected, svc.stats());
-    calm.demotions -= flash.demotions;    // phase-local deltas
-    calm.promotions -= flash.promotions;
     calm.max_queue_depth = depth_before_calm;
-    final_level = static_cast<int>(svc.governor().level());
 
     svc.drain_and_stop();
     revalidations = svc.stats().counter("service.revalidations_failed");
   }
   print_phase("flash", flash);
   print_phase("calm", calm);
-  std::printf("final governor level: %s   revalidations failed: %llu\n",
-              strategy_name(static_cast<StrategyKind>(final_level)),
+  std::printf("revalidations failed: %llu\n",
               static_cast<unsigned long long>(revalidations));
 
   // ---- Acceptance checks --------------------------------------------------
   if (revalidations != 0) {
-    std::cerr << "FATAL: a degraded accept was refused by the live residual\n";
-    return 1;
-  }
-  if (flash.demotions == 0) {
-    std::cerr << "FATAL: flash crowd did not demote the governor\n";
+    std::cerr << "FATAL: an accept was refused by the live residual at commit\n";
     return 1;
   }
   if (flash.shed == 0) {
@@ -336,10 +289,6 @@ int main(int argc, char** argv) {
               << "ns exceeded the " << slo_ns << "ns SLO\n";
     return 1;
   }
-  if (calm.promotions == 0) {
-    std::cerr << "FATAL: governor failed to promote after pressure cleared\n";
-    return 1;
-  }
   if (calm.accepted == 0) {
     std::cerr << "FATAL: calm phase accepted none of its " << calm.requests
               << " requests\n";
@@ -350,13 +299,11 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"e19_service\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"slo_ns\": " << slo_ns << ",\n"
-      << "  \"queue_capacity\": 64,\n"
-      << "  \"light_exact_fraction\": " << exact_fraction << ",\n";
+      << "  \"queue_capacity\": 64,\n";
   write_phase(out, "light", light, true);
   write_phase(out, "flash", flash, true);
   write_phase(out, "calm", calm, true);
-  out << "  \"final_level\": \"" << strategy_name(static_cast<StrategyKind>(final_level))
-      << "\",\n  \"revalidations_failed\": " << revalidations << "\n}\n";
+  out << "  \"revalidations_failed\": " << revalidations << "\n}\n";
   if (!out.good()) {
     std::cerr << "ERROR: could not write " << json_path << "\n";
     return 1;

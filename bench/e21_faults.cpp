@@ -20,7 +20,6 @@
 // exits non-zero when it differs from the value pinned below for the run
 // size, so a change to any cluster decision is caught, not just a
 // nondeterministic one.
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -162,18 +161,6 @@ Cell run_cell(const Intensity& intensity, std::size_t intensity_index,
   return cell;
 }
 
-/// FNV-1a 64 over `log`, as 16 hex digits.
-std::string fnv1a_hex(const std::string& log) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : log) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
-  return hex;
-}
-
 void print_cell(const Cell& c) {
   std::cout << c.intensity << (c.retries ? " +retries" : "          ")
             << ": faults=" << c.fault_events << " jobs=" << c.originals
@@ -279,7 +266,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "determinism: flagship rerun identical (" << flagship.submitted
             << " decisions, " << flagship.resubmissions << " retries)\n";
-  const std::string digest = fnv1a_hex(flagship.decision_log);
+  const std::string digest = decision_digest(flagship.decision_log);
   const std::string pinned = smoke ? kSmokeDigest : kFullDigest;
   std::cout << "flagship decision digest: " << digest << "\n";
   if (digest != pinned) {

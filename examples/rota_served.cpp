@@ -1,7 +1,7 @@
 // rota_served: the admission daemon.
 //
-// Wraps an AdmissionService (PlanningKernel + anytime strategy ladder + SLO
-// governor + bounded admission queue) behind the framed socket protocol of
+// Wraps an AdmissionService (PlanningKernel + bounded admission queue +
+// per-request planning budget) behind the framed socket protocol of
 // rota/service/server.hpp. Pair it with rota_load for a closed-loop driver.
 //
 //   ./build/examples/rota_served --socket /tmp/rota.sock
@@ -9,8 +9,8 @@
 //
 // SIGINT/SIGTERM trigger the clean drain: stop accepting, half-close the
 // sessions, answer everything already queued, join the lanes, exit. The exit
-// code is non-zero if any revalidation failed (a degraded accept the live
-// residual refused — must never happen).
+// code is non-zero if any revalidation failed (an accept the live residual
+// refused at commit — must never happen).
 //
 // Set ROTA_TRACE=/path/trace.json to record a Chrome trace of the run
 // (plan.speculate / plan.commit spans from the lanes; load it in
@@ -60,7 +60,6 @@ int usage(const char* argv0) {
       << "  --lanes N        planning lanes (default 2)\n"
       << "  --queue N        admission queue capacity (default 64)\n"
       << "  --budget-us N    default planning budget per request (default 20000)\n"
-      << "  --slo-ms N       governor p99 latency target (default 20)\n"
       << "  --locations N    supply topology size, must match the client (default 4)\n"
       << "  --horizon T      supply horizon in ticks (default 100000)\n"
       << "  --seed S         supply/workload seed, must match the client (default 2026)\n"
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
     else if (arg == "--lanes") config.lanes = number(1, kMaxCount);
     else if (arg == "--queue") config.queue_capacity = number(1, kMaxCount);
     else if (arg == "--budget-us") config.default_budget_us = number(0, kMaxCount);
-    else if (arg == "--slo-ms") config.governor.slo_ns = number(1, kMaxCount) * 1'000'000;
     else if (arg == "--locations") locations = number(1, kMaxCount);
     else if (arg == "--horizon") horizon = static_cast<Tick>(number(1, kMaxCount));
     else if (arg == "--seed") seed = number(0, UINT64_MAX);
@@ -224,9 +222,7 @@ int main(int argc, char** argv) {
             << " requests (" << count("service.accepted") << " accepted, "
             << count("service.rejected") << " rejected, "
             << count("service.shed_queue") + count("service.shed_budget")
-            << " shed), demotions " << count("service.demotions")
-            << ", promotions " << count("service.promotions")
-            << ", max queue depth " << stats.gauges.at("service.max_queue_depth")
+            << " shed), max queue depth " << stats.gauges.at("service.max_queue_depth")
             << "\n";
   if (federation) {
     std::cout << "rota_served: federation forwarded " << count("service.forwarded")
@@ -249,7 +245,7 @@ int main(int argc, char** argv) {
 
   if (const std::uint64_t failed = count("service.revalidations_failed")) {
     std::cerr << "rota_served: FATAL — " << failed
-              << " degraded accepts were refused by the live residual\n";
+              << " accepts were refused by the live residual at commit\n";
     return 1;
   }
   std::cout << "rota_served: clean drain complete\n";

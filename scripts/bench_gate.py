@@ -28,11 +28,10 @@ e20_federation — fails (exit 1) when the candidate forwarded nothing, any
   revalidation failed. Forward round-trip latencies are printed for trend
   reading but never gated (two pump cadences plus a socket: host noise).
 
-e19_service — fails (exit 1) when the candidate's light phase was not served
-  ≥ 99% by the exact strategy with zero sheds, the flash phase failed to
-  demote or shed, the queue depth exceeded its bound, the served-request p99
-  exceeded the SLO, the governor never promoted back in the calm tail, or any
-  revalidation failed (a degraded accept the live residual refused). All
+e19_service — fails (exit 1) when the candidate's light phase shed anything,
+  the flash phase shed nothing, the queue depth exceeded its bound, the
+  served-request p99 exceeded the SLO, the calm tail accepted nothing, or any
+  revalidation failed (an accept the live residual refused at commit). All
   checks are candidate self-consistency; wall-clock latencies are printed for
   trend reading but never compared across hosts.
 
@@ -177,7 +176,7 @@ def gate_e19(base, cand):
         return doc.get(name, {}) or {}
 
     print(f"{'phase':>6} {'requests':>9} {'accepted':>9} {'shed':>6} "
-          f"{'exact':>6} {'digest':>7} {'greedy':>7} {'p99_ms':>8}")
+          f"{'p99_ms':>8}")
     for name in ("light", "flash", "calm"):
         c = phase(cand, name)
         b = phase(base, name)
@@ -186,8 +185,7 @@ def gate_e19(base, cand):
         note = f"  (baseline {b_p99:.2f}ms)" if b else ""
         print(f"{name:>6} {int(c.get('requests', 0)):>9} "
               f"{int(c.get('accepted', 0)):>9} {int(c.get('shed', 0)):>6} "
-              f"{int(c.get('by_exact', 0)):>6} {int(c.get('by_digest', 0)):>7} "
-              f"{int(c.get('by_greedy', 0)):>7} {p99:>8.2f}{note}")
+              f"{p99:>8.2f}{note}")
 
     # Candidate self-consistency — the acceptance criteria the bench also
     # enforces in-process; re-checked here so a tampered or truncated
@@ -195,15 +193,8 @@ def gate_e19(base, cand):
     light, flash, calm = (phase(cand, n) for n in ("light", "flash", "calm"))
     slo_ns = int(cand["slo_ns"])
     capacity = int(cand["queue_capacity"])
-    exact_fraction = float(cand["light_exact_fraction"])
-    if exact_fraction < 0.99:
-        failures.append(
-            f"light phase: exact strategy served only {exact_fraction:.1%} "
-            "(>= 99% required)")
     if int(light.get("shed", -1)) != 0:
         failures.append("light phase shed requests under a trickle load")
-    if int(flash.get("demotions", 0)) < 1:
-        failures.append("flash crowd did not demote the governor")
     if int(flash.get("shed", 0)) < 1:
         failures.append("flash crowd was not shed (queue bound ineffective)")
     if int(flash.get("max_queue_depth", capacity + 1)) > capacity:
@@ -214,16 +205,14 @@ def gate_e19(base, cand):
         failures.append(
             f"served-request p99 {flash.get('p99_planning_ns')}ns exceeded "
             f"the {slo_ns}ns SLO")
-    if int(calm.get("promotions", 0)) < 1:
-        failures.append("governor never promoted back after pressure cleared")
     if int(calm.get("accepted", 0)) < 1:
         failures.append(
             f"calm phase accepted none of its {int(calm.get('requests', 0))} "
             "requests")
     if int(cand["revalidations_failed"]) != 0:
         failures.append(
-            f"{cand['revalidations_failed']} degraded accept(s) were refused "
-            "by the live residual — the anytime safety invariant broke")
+            f"{cand['revalidations_failed']} accept(s) were refused by the "
+            "live residual at commit")
     return failures
 
 

@@ -1,6 +1,7 @@
 #include "rota/cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,6 +66,17 @@ std::string ClusterReport::decision_log() const {
   std::ostringstream out;
   for (const JobDecision& d : decisions) out << d.to_string() << '\n';
   return out.str();
+}
+
+std::string decision_digest(const std::string& decision_log) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : decision_log) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  return hex;
 }
 
 void ClusterReport::schedule_into(Simulator& sim) const {

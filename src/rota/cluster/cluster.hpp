@@ -91,6 +91,10 @@ struct ClusterReport {
   void schedule_into(Simulator& sim) const;
 };
 
+/// FNV-1a 64 over a decision log, as 16 hex digits: the pin a cluster bench
+/// checks its run against, so a changed decision cannot pass unnoticed.
+std::string decision_digest(const std::string& decision_log);
+
 class ClusterSim {
  public:
   ClusterSim(CostModel phi, ClusterConfig config);

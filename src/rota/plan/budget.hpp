@@ -53,16 +53,6 @@ class CancellationToken {
     return state_->has_deadline && Clock::now() >= state_->deadline;
   }
 
-  /// Nanoseconds left before the deadline (0 when expired; max when none).
-  std::uint64_t remaining_ns() const {
-    if (state_->cancelled.load(std::memory_order_relaxed)) return 0;
-    if (!state_->has_deadline) return ~std::uint64_t{0};
-    const auto left = state_->deadline - Clock::now();
-    if (left <= Clock::duration::zero()) return 0;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count());
-  }
-
  private:
   struct State {
     std::atomic<bool> cancelled{false};

@@ -62,7 +62,7 @@ constexpr FeasibilityOptions kKernelProbeOptions{/*node_budget=*/20'000,
 
 PlanResult PlanningKernel::speculate(const ConcurrentRequirement& rho, Tick at,
                                      const FeasibilitySnapshot& snapshot,
-                                     const SpeculateOptions& options) const {
+                                     const CancellationToken* cancel) const {
   PlanResult result;
   result.computation = rho.name();
   result.at = at;
@@ -80,16 +80,14 @@ PlanResult PlanningKernel::speculate(const ConcurrentRequirement& rho, Tick at,
     result.touched_mask = touched_shard_mask(rho);
     result.shard_stamp = snapshot.shard_stamp(result.touched_mask);
   }
-  if (options.cancel != nullptr && options.cancel->expired()) {
+  if (cancel != nullptr && cancel->expired()) {
     result.status = PlanStatus::kCancelled;
     return result;
   }
   ROTA_OBS_SPAN("plan.speculate");
   const bool metered = obs::metrics_enabled();
   if (metered) obs::CoreMetrics::get().plan_speculations.add();
-  const ResourceSet& view = options.view_override != nullptr
-                               ? *options.view_override
-                               : snapshot.view();
+  const ResourceSet& view = snapshot.view();
   // Most requests arrive before their window opens, so the clip is a no-op;
   // skip the requirement deep-copy when every actor window already matches.
   const bool clip_needed =
@@ -102,15 +100,14 @@ PlanResult PlanningKernel::speculate(const ConcurrentRequirement& rho, Tick at,
   if (clip_needed) clipped.emplace(clip_requirement(rho, result.window));
   const ConcurrentRequirement& effective = clipped ? *clipped : rho;
   auto plan = plan_concurrent(view, effective, policy_);
-  if (!plan && policy_ == PlanningPolicy::kAsap && effective.actors().size() > 1 &&
-      options.symbolic_rescue) {
+  if (!plan && policy_ == PlanningPolicy::kAsap && effective.actors().size() > 1) {
     // The sequential planner admits actors one at a time and its rejection of
     // a contended multi-actor requirement can be spurious (order-sensitive).
     // Retry with the symbolic cut-point engine before giving up: exact within
     // its budget, deterministic, so every surface sharing the kernel keeps
     // identical decisions. Gated to kAsap — the kAlap/kUniform ablations
     // deliberately measure their policy's own (incomplete) behavior.
-    if (options.cancel != nullptr && options.cancel->expired()) {
+    if (cancel != nullptr && cancel->expired()) {
       // Boundary check between the ladder and the (costlier) rescue: a spent
       // budget turns the spurious-maybe rejection into kCancelled rather than
       // letting the cut search blow the latency SLO.
@@ -181,8 +178,8 @@ CommitStatus PlanningKernel::commit(const PlanResult& result,
   if (result.status == PlanStatus::kCancelled) {
     // A cancelled speculation is not a decision — committing it would issue a
     // rejection the exact kernel might have accepted, breaking parity. Treat
-    // it like a stale result: nothing issued, the caller re-speculates
-    // (typically with a cheaper strategy or sheds the request).
+    // it like a stale result: nothing issued, the caller re-speculates or
+    // sheds the request.
     return CommitStatus::kStale;
   }
   ledger.advance_to(std::max(result.at, ledger.now()));

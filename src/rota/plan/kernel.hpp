@@ -114,27 +114,6 @@ enum class CommitStatus {
   kStale,      // revision moved since speculation; nothing issued
 };
 
-/// Knobs for speculate(). The defaults plan exactly; the admission
-/// service's anytime strategies vary them per request.
-struct SpeculateOptions {
-  /// Checked at speculation boundaries (entry, and between the greedy ladder
-  /// and the symbolic rescue). Expired => PlanStatus::kCancelled. May be
-  /// null: never cancelled.
-  const CancellationToken* cancel = nullptr;
-
-  /// When false, a greedy multi-actor rejection stands — the symbolic
-  /// cut-point rescue is skipped (the service's kGreedy "fast ladder only"
-  /// strategy, and a sensible default once the budget is nearly gone).
-  bool symbolic_rescue = true;
-
-  /// Plan against this availability instead of the snapshot's view. The
-  /// caller warrants it is dominated by the snapshot's true view (e.g. a
-  /// StepFunction digest hull), so any plan found is feasible against the
-  /// live residual and the result keeps the snapshot's revision stamps —
-  /// commit-able exactly like an exact speculation.
-  const ResourceSet* view_override = nullptr;
-};
-
 class PlanningKernel {
  public:
   explicit PlanningKernel(PlanningPolicy policy = PlanningPolicy::kAsap)
@@ -143,13 +122,13 @@ class PlanningKernel {
   PlanningPolicy policy() const { return policy_; }
 
   /// Pure speculation against a frozen snapshot's view. The view must cover
-  /// the requirement's effective window and shard footprint. `options` adds
-  /// a cancellation token checked at speculation boundaries, a rescue
-  /// opt-out and a dominated-view override (see SpeculateOptions); the
-  /// defaults plan exactly.
+  /// the requirement's effective window and shard footprint. `cancel`, when
+  /// given, is checked at speculation boundaries (entry, and between the
+  /// greedy ladder and the symbolic rescue); once it has expired the result
+  /// is PlanStatus::kCancelled.
   PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
                        const FeasibilitySnapshot& snapshot,
-                       const SpeculateOptions& options = {}) const;
+                       const CancellationToken* cancel = nullptr) const;
 
   /// Single-actor speculation (the migration advisor's scoring path): plans
   /// one complex requirement against the snapshot's view.

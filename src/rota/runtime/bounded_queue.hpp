@@ -33,8 +33,7 @@ class BoundedQueue {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Current number of queued items (racy by nature; a metrics gauge, and a
-  /// backpressure signal for the governor).
+  /// Current number of queued items (racy by nature; a metrics gauge).
   std::size_t depth() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();

@@ -5,7 +5,7 @@
 // real sockets, with the live AdmissionService's ledger as the node's
 // admission backend:
 //
-//   client ──▶ AdmissionService (local-first, anytime ladder)
+//   client ──▶ AdmissionService (local-first, exact decision)
 //                   │ rejected, deadline budget left, forwardable shape
 //                   ▼
 //              ClusterNode ──probe/offer/claim──▶ peers (SocketTransport)

@@ -9,6 +9,13 @@
 // mutex, so concurrent lanes answering one connection never interleave
 // frames.
 //
+// A session whose reader has exited (the peer closed, or a protocol error
+// hung it up) retires: the server forgets it and joins its reader at the
+// next accept, so a long-lived daemon holds descriptors only for live
+// connections and decisions still owed. When accept() runs out of
+// descriptors anyway, the acceptor backs off and keeps listening rather than
+// going silent.
+//
 // stop() is the clean-shutdown path the daemon's SIGINT/SIGTERM handler
 // drives: (1) stop accepting connections, (2) half-close every session for
 // reading so no new requests enter, (3) drain the service — every request
@@ -17,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -71,6 +79,10 @@ class ServiceServer {
 
   void accept_loop(int listen_fd);
   void start_session(int fd);
+  void read_requests(const std::shared_ptr<Session>& session);
+  /// The reader's last act: unlists its session, parks its thread to join.
+  void retire(const std::shared_ptr<Session>& session);
+  void join_exited_readers();
 
   AdmissionService& service_;
   ServerConfig config_;
@@ -82,7 +94,9 @@ class ServiceServer {
   std::vector<std::thread> acceptors_;
 
   std::mutex sessions_mutex_;
-  std::vector<std::shared_ptr<Session>> sessions_;
+  std::condition_variable sessions_cv_;               // a session retired
+  std::vector<std::shared_ptr<Session>> sessions_;    // readers still running
+  std::vector<std::thread> exited_readers_;           // retired, to join
   std::atomic<std::size_t> sessions_accepted_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};

@@ -24,20 +24,11 @@ AdmissionService::Instruments::Instruments(obs::MetricsRegistry& registry)
       rejected(registry.counter("service.rejected")),
       shed_queue(registry.counter("service.shed_queue")),
       shed_budget(registry.counter("service.shed_budget")),
-      demotions(registry.counter("service.demotions")),
-      promotions(registry.counter("service.promotions")),
       revalidations_failed(registry.counter("service.revalidations_failed")),
       queue_depth(registry.gauge("service.queue_depth")),
       max_queue_depth(registry.gauge("service.max_queue_depth")),
-      level(registry.gauge("service.level")),
       planning_ns(registry.histogram("service.planning_ns")),
-      queue_ns(registry.histogram("service.queue_ns")) {
-  for (int k = 0; k < kStrategyCount; ++k) {
-    const std::string name = strategy_name(static_cast<StrategyKind>(k));
-    served[k] = &registry.counter("service.served." + name);
-    latency_ns[k] = &registry.histogram("service.latency." + name + "_ns");
-  }
-}
+      queue_ns(registry.histogram("service.queue_ns")) {}
 
 namespace {
 
@@ -57,8 +48,6 @@ AdmissionService::AdmissionService(CommitmentLedger& ledger, CostModel phi,
       phi_(std::move(phi)),
       config_(validated(config)),
       m_(metrics_),
-      registry_(kernel_, config.digest_max_segments ? config.digest_max_segments : 1),
-      governor_(config.governor),
       queue_(config.queue_capacity),
       // lanes workers + the (unused-for-lanes) caller slot: every lane loop
       // must land on a real worker thread, never run inline in submit().
@@ -135,46 +124,25 @@ void AdmissionService::serve(Pending pending) {
   response.queue_ns = queue_ns;
 
   const auto planning_start = std::chrono::steady_clock::now();
-  std::uint64_t planning_ns = 0;
-  bool observed = false;  // whether this request should feed the governor
-  int served_by = -1;     // the StrategyKind that decided it, if any
   try {
     const ConcurrentRequirement rho =
         make_concurrent_requirement(phi_, pending.request.computation);
     for (;;) {
       if (pending.token.expired()) {
-        planning_ns = elapsed_ns(planning_start);
         response.verdict = Verdict::kOverloaded;
         response.reason = "planning budget exhausted";
         m_.shed_budget.add();
-        observed = true;  // budget pressure is pressure: the governor sees it
         break;
       }
-      const StrategyKind kind =
-          registry_.pick(pending.token.remaining_ns(), governor_.level());
-      AnytimeStrategy& strategy = registry_.strategy(kind);
-
       const FeasibilitySnapshot snapshot = capture(rho, pending.request.at);
-      const auto attempt_start = std::chrono::steady_clock::now();
       const PlanResult result =
-          strategy.speculate(rho, pending.request.at, snapshot, pending.token);
-      const std::uint64_t attempt_ns = elapsed_ns(attempt_start);
-      if (result.status != PlanStatus::kCancelled) {
-        // Cancelled attempts stopped early; folding their truncated time into
-        // the EWMA would teach pick() that a slow strategy is cheap.
-        strategy.record_cost(attempt_ns);
-      }
+          kernel_.speculate(rho, pending.request.at, snapshot, &pending.token);
       if (result.status == PlanStatus::kCancelled) continue;  // shed above
 
       AdmissionDecision decision;
-      if (commit(result, decision) == CommitStatus::kStale) {
-        continue;  // re-pick, re-capture
-      }
+      if (commit(result, decision) == CommitStatus::kStale) continue;  // re-capture
 
-      planning_ns = elapsed_ns(planning_start);
-      served_by = static_cast<int>(kind);
-      m_.served[served_by]->add();
-      response.strategy = strategy_name(kind);
+      response.strategy = "exact";
       if (decision.accepted) {
         response.verdict = Verdict::kAccepted;
         m_.accepted.add();
@@ -182,43 +150,22 @@ void AdmissionService::serve(Pending pending) {
         response.verdict = Verdict::kRejected;
         response.reason = decision.reason;
         m_.rejected.add();
-        if (result.feasible()) {
-          // The ladder's safety invariant failed: a degraded strategy found a
-          // "feasible" plan the live residual refused. Counted loudly; the
-          // strategy test suite and the bench gate hold this at zero.
-          m_.revalidations_failed.add();
-        }
+        // A plan feasible against a live-revision capture that the residual
+        // then refused: the commit backstop fired. Must stay zero.
+        if (result.feasible()) m_.revalidations_failed.add();
       }
-      observed = true;
       break;
     }
   } catch (const std::exception& e) {
     // A malformed computation (bad cost model fit, inverted window, …) is the
     // client's mistake, not the service's overload: answer rejected.
-    planning_ns = elapsed_ns(planning_start);
     response.verdict = Verdict::kRejected;
     response.reason = std::string("invalid request: ") + e.what();
     m_.rejected.add();
   }
 
-  response.planning_ns = planning_ns;
-  m_.planning_ns.record(planning_ns);
-  if (served_by >= 0) m_.latency_ns[served_by]->record(planning_ns);
-
-  if (observed) {
-    switch (governor_.observe(planning_ns, queue_.depth())) {
-      case GovernorEvent::kDemoted:
-        m_.demotions.add();
-        break;
-      case GovernorEvent::kPromoted:
-        m_.promotions.add();
-        break;
-      case GovernorEvent::kNone:
-        break;
-    }
-    m_.level.set(static_cast<std::int64_t>(governor_.level()));
-  }
-
+  response.planning_ns = elapsed_ns(planning_start);
+  m_.planning_ns.record(response.planning_ns);
   respond(pending, std::move(response));
 }
 

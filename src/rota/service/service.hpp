@@ -2,24 +2,24 @@
 //
 // The in-process core of the daemon (rota/service/server.hpp adds sockets):
 // requests enter a bounded admission queue, planning lanes on the runtime's
-// ThreadPool drain it, and each request is decided by whichever anytime
-// strategy the SLO governor and its remaining planning budget select:
+// ThreadPool drain it, and each request gets the kernel's one exact
+// decision (Theorem 4), bounded by its planning budget:
 //
-//   submit ──▶ BoundedQueue ──▶ lane: pick(budget, governor.level())
-//                 │                    ├─ capture owned snapshot  (ledger lock)
-//                 │ full?              ├─ strategy.speculate      (no lock)
-//                 ▼                    ├─ kernel.commit           (ledger lock)
-//             kOverloaded              │    └─ stale? re-pick and retry
-//             (shed, immediate)        └─ respond, feed the governor
+//   submit ──▶ BoundedQueue ──▶ lane: capture owned snapshot  (ledger lock)
+//                 │                   kernel.speculate         (no lock)
+//                 │ full?             kernel.commit            (ledger lock)
+//                 ▼                     └─ stale? re-capture and retry
+//             kOverloaded             respond
+//             (shed, immediate)
 //
 // Back-pressure is explicit at both ends: a full queue sheds at the front
 // door with kOverloaded (never silence, never unbounded waiting), and a
-// request whose planning budget expires mid-flight is shed the same way —
-// a cancelled speculation is not a decision (commit() refuses it), so
-// degradation can never turn into a wrong verdict. Every accept, from any
-// rung of the ladder, carries a concrete plan the ledger re-validates at
-// commit; `revalidations_failed` counts the times that backstop fired and
-// must stay zero.
+// request whose planning budget expires while it waits or plans is shed the
+// same way — a cancelled speculation is not a decision (commit() refuses
+// it), so running out of time can never turn into a wrong verdict. Every
+// accept carries a concrete plan the ledger re-validates at commit;
+// `revalidations_failed` counts the times that backstop fired and must stay
+// zero.
 //
 // Stats: the service counts every fact once, always on, into a
 // MetricsRegistry of its own (metrics(); names under service.* in
@@ -34,7 +34,6 @@
 // it must be the ledger's only writer.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -47,8 +46,6 @@
 #include "rota/runtime/bounded_queue.hpp"
 #include "rota/runtime/thread_pool.hpp"
 #include "rota/service/codec.hpp"
-#include "rota/service/governor.hpp"
-#include "rota/service/strategy.hpp"
 
 namespace rota::service {
 
@@ -56,8 +53,6 @@ struct ServiceConfig {
   std::size_t lanes = 2;                    // planning lanes (pool workers), >= 1
   std::size_t queue_capacity = 64;          // admission queue bound
   std::uint64_t default_budget_us = 20'000; // budget when a request says 0
-  std::size_t digest_max_segments = 64;     // kDigest hull resolution
-  GovernorConfig governor;
 };
 
 class AdmissionService {
@@ -78,8 +73,8 @@ class AdmissionService {
   /// Asynchronous admission: `done` is invoked exactly once, from a planning
   /// lane (decision) or inline on the calling thread (shed on a full queue or
   /// a stopping service). The planning-budget clock starts now — time spent
-  /// queued burns budget, which is what makes queue pressure visible to the
-  /// strategy picker.
+  /// queued burns budget, so a request that waited past its budget is shed
+  /// instead of decided too late to matter.
   void submit(AdmitRequest request, ResponseFn done);
 
   /// Synchronous admission (submit + wait); the test/bench convenience.
@@ -95,10 +90,6 @@ class AdmissionService {
   /// service.forward* and service.peer_claims handles from it.
   obs::MetricsRegistry& metrics() { return metrics_; }
   std::size_t queue_depth() const { return queue_.depth(); }
-
-  /// Test seams. Replace strategies before traffic flows.
-  StrategyRegistry& registry() { return registry_; }
-  SloGovernor& governor() { return governor_; }
 
   /// The lanes' two ledger steps, each under ledger_mutex(). The federation
   /// adapter (rota/service/federation.hpp) uses them too and, like a lane,
@@ -125,11 +116,9 @@ class AdmissionService {
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& registry);
     obs::Counter &requests, &accepted, &rejected, &shed_queue, &shed_budget;
-    obs::Counter &demotions, &promotions, &revalidations_failed;
-    obs::Gauge &queue_depth, &max_queue_depth, &level;
+    obs::Counter& revalidations_failed;
+    obs::Gauge &queue_depth, &max_queue_depth;
     obs::Histogram &planning_ns, &queue_ns;
-    std::array<obs::Counter*, kStrategyCount> served;        // by StrategyKind
-    std::array<obs::Histogram*, kStrategyCount> latency_ns;  // by StrategyKind
   };
 
   void lane_loop();
@@ -143,8 +132,6 @@ class AdmissionService {
   obs::MetricsRegistry metrics_;
   Instruments m_;
   PlanningKernel kernel_;
-  StrategyRegistry registry_;
-  SloGovernor governor_;
   BoundedQueue<Pending> queue_;
   std::mutex ledger_mutex_;
   ThreadPool pool_;  // lanes; joined by drain_and_stop() before teardown

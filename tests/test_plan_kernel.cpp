@@ -508,11 +508,12 @@ TEST(PlanKernelBudget, DefaultOptionsMatchPlainSpeculate) {
   WorkloadGenerator gen(parity_config(), phi);
   CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
   const PlanningKernel kernel;
+  const CancellationToken never;  // an unexpired token changes nothing
   for (const Arrival& a : gen.make_arrivals(kHorizon)) {
     const ConcurrentRequirement rho = make_concurrent_requirement(phi, a.computation);
     const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(ledger);
     const PlanResult plain = kernel.speculate(rho, a.at, snapshot);
-    const PlanResult optioned = kernel.speculate(rho, a.at, snapshot, SpeculateOptions{});
+    const PlanResult optioned = kernel.speculate(rho, a.at, snapshot, &never);
     EXPECT_EQ(plain.status, optioned.status);
     EXPECT_EQ(plain.plan == optioned.plan, true);
     AdmissionDecision ignored;
@@ -532,9 +533,7 @@ TEST(PlanKernelBudget, ExpiredTokenCancelsInsteadOfDeciding) {
   CancellationToken token = CancellationToken::with_budget_ns(1);  // expires now
   while (!token.expired()) {
   }
-  SpeculateOptions options;
-  options.cancel = &token;
-  const PlanResult result = kernel.speculate(rho, 0, snapshot, options);
+  const PlanResult result = kernel.speculate(rho, 0, snapshot, &token);
   EXPECT_EQ(result.status, PlanStatus::kCancelled);
   EXPECT_FALSE(result.feasible());
   EXPECT_STREQ(result.reject_reason(), "planning budget exhausted");
@@ -554,44 +553,6 @@ TEST(PlanKernelBudget, ExplicitCancelTripsTheToken) {
   EXPECT_FALSE(token.expired());
   token.cancel();
   EXPECT_TRUE(token.expired());
-  EXPECT_EQ(token.remaining_ns(), 0u);
-}
-
-TEST(PlanKernelBudget, ViewOverridePlansAgainstTheHullButKeepsStamps) {
-  // A dominated hull (half the true supply) must shape the plan while the
-  // result keeps the live snapshot's revision stamps — commit-able exactly
-  // like an exact speculation. This is the contract kDigest stands on.
-  Location site("hull-l1");
-  CostModel phi;
-  ResourceSet supply;
-  supply.add(8, TimeInterval(0, 100), LocatedType::cpu(site));
-  CommitmentLedger ledger(supply);
-  const PlanningKernel kernel;
-
-  Phase p;
-  p.demand.add(LocatedType::cpu(site), 8);
-  p.first_action = 0;
-  p.action_count = 1;
-  const ConcurrentRequirement rho(
-      "hulled", {ComplexRequirement("a", {p}, TimeInterval(0, 100), 0)},
-      TimeInterval(0, 100));
-
-  const FeasibilitySnapshot snapshot =
-      FeasibilitySnapshot::capture(ledger, TimeInterval(0, 100), kAllShards);
-  ResourceSet hull;
-  hull.add(4, TimeInterval(0, 100), LocatedType::cpu(site));  // dominated
-  SpeculateOptions options;
-  options.view_override = &hull;
-  const PlanResult result = kernel.speculate(rho, 0, snapshot, options);
-  ASSERT_TRUE(result.feasible());
-  EXPECT_EQ(result.revision, ledger.revision());
-
-  AdmissionDecision decision;
-  ASSERT_EQ(kernel.commit(result, ledger, decision), CommitStatus::kCommitted);
-  EXPECT_TRUE(decision.accepted) << decision.reason;
-  // Against 4/tick the 8-unit phase needs at least 2 ticks — the hull, not
-  // the 8/tick truth, shaped the plan.
-  EXPECT_EQ(ledger.admitted_count(), 1u);
 }
 
 }  // namespace

@@ -1,17 +1,19 @@
-// The admission service: codec, bounded queue, anytime strategy ladder, SLO
-// governor, shedding, clean drain, and the socket round trip.
+// The admission service: codec, bounded queue, budget and queue-bound
+// shedding, clean drain, the socket round trip and its session lifecycle.
 //
-// The load-bearing suite is the strategy/governor set: an injected slow
-// kExact must drive demotion under a tight budget, degraded strategies must
-// never be unsafely optimistic (every degraded accept re-validated against
-// the exact kernel and the live residual), the governor must promote back
-// once pressure clears, and shed requests must be answered with kOverloaded
-// — never silence. Runs in rota_runtime_tests, so ThreadSanitizer covers the
-// lanes/session/governor interleavings.
+// The load-bearing checks: a one-lane service fed in arrival order decides
+// every request exactly as the sequential referee (RotaAdmissionController)
+// does; a full queue and an expired planning budget are answered with
+// kOverloaded — never silence; and a long-lived server frees each closed
+// session's descriptor and keeps accepting when descriptors run out. Runs in
+// rota_runtime_tests, so ThreadSanitizer covers the lanes/session
+// interleavings.
 #include "rota/service/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -21,15 +23,18 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
 
+#include "rota/admission/controller.hpp"
 #include "rota/obs/obs.hpp"
 #include "rota/runtime/bounded_queue.hpp"
 #include "rota/service/client.hpp"
@@ -72,7 +77,7 @@ TEST(ServiceCodec, ResponseRoundTripsWithAndWithoutReason) {
   AdmitResponse r;
   r.id = 9;
   r.verdict = Verdict::kAccepted;
-  r.strategy = "digest";
+  r.strategy = "exact";
   r.planning_ns = 123456;
   r.queue_ns = 789;
   EXPECT_EQ(parse_response(response_payload(r)), r);
@@ -162,201 +167,68 @@ TEST(BoundedQueueTest, CloseWakesConsumersAndDrainsAcceptedItems) {
   closer.join();
 }
 
-// ---- strategy registry & governor -----------------------------------------
+// ---- served path vs the sequential referee --------------------------------
 
-/// Wraps the real exact strategy with a controllable delay — the test's
-/// stand-in for "exact planning became expensive under this workload".
-class SlowExact final : public AnytimeStrategy {
- public:
-  SlowExact(PlanningKernel kernel, std::atomic<int>& delay_ms)
-      : kernel_(kernel), delay_ms_(delay_ms) {}
-  const char* name() const override { return "exact"; }
-  PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
-                       const FeasibilitySnapshot& snapshot,
-                       const CancellationToken& cancel) override {
-    const int ms = delay_ms_.load();
-    if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    SpeculateOptions options;
-    options.cancel = &cancel;
-    return kernel_.speculate(rho, at, snapshot, options);
-  }
+// With one lane, requests taken in arrival order and a budget no request
+// exhausts, the service is the sequential composition capture → speculate →
+// commit: every verdict and the final admission count must match the
+// sequential controller's on a ledger built from the same supply.
+TEST(ServiceParity, OneLaneServiceDecidesLikeTheSequentialReferee) {
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    WorkloadConfig wc;
+    wc.seed = seed;
+    wc.num_locations = 3;
+    wc.laxity = 1.5;           // tight windows: many rejections
+    wc.mean_interarrival = 2;  // dense arrivals: contended residual
+    WorkloadGenerator gen(wc, CostModel{});
+    const ResourceSet supply = gen.base_supply(TimeInterval(0, kHorizon));
+    const std::vector<Arrival> arrivals = gen.make_arrivals(kHorizon);
+    RotaAdmissionController referee(gen.phi(), supply);
+    CommitmentLedger ledger(supply);
+    ServiceConfig config;
+    config.lanes = 1;
+    AdmissionService svc(ledger, gen.phi(), config);
 
- private:
-  const PlanningKernel kernel_;  // by value: callers pass a temporary
-  std::atomic<int>& delay_ms_;
-};
-
-/// Blocks inside speculate() until released — holds a lane mid-request so
-/// shedding and drain behavior can be observed deterministically.
-class LatchedExact final : public AnytimeStrategy {
- public:
-  explicit LatchedExact(PlanningKernel kernel) : kernel_(kernel) {}
-  const char* name() const override { return "exact"; }
-  PlanResult speculate(const ConcurrentRequirement& rho, Tick at,
-                       const FeasibilitySnapshot& snapshot,
-                       const CancellationToken& cancel) override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ++entered_;
-      entered_cv_.notify_all();
-      released_cv_.wait(lock, [this] { return released_; });
-    }
-    SpeculateOptions options;
-    options.cancel = &cancel;
-    return kernel_.speculate(rho, at, snapshot, options);
-  }
-  void await_entered() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    entered_cv_.wait(lock, [this] { return entered_ > 0; });
-  }
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      released_ = true;
-    }
-    released_cv_.notify_all();
-  }
-
- private:
-  const PlanningKernel kernel_;  // by value: callers pass a temporary
-  std::mutex mutex_;
-  std::condition_variable entered_cv_, released_cv_;
-  int entered_ = 0;
-  bool released_ = false;
-};
-
-TEST(ServiceGovernor, SlowExactForcesDemotionUnderTightBudget) {
-  WorkloadGenerator gen = make_generator(10);
-  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
-  ServiceConfig config;
-  config.lanes = 1;
-  config.default_budget_us = 3'000;       // 3ms budget...
-  config.governor.slo_ns = 1'000'000;     // ...and a 1ms SLO,
-  config.governor.demote_after = 2;       // demoting fast
-  AdmissionService svc(ledger, gen.phi(), config);
-  static std::atomic<int> delay_ms{8};    // against an 8ms exact strategy
-  svc.registry().replace(
-      StrategyKind::kExact,
-      std::make_unique<SlowExact>(PlanningKernel{}, delay_ms));
-
-  std::vector<AdmitResponse> responses;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    responses.push_back(svc.admit(make_request(gen, i + 1, static_cast<Tick>(i))));
-  }
-  const obs::MetricsSnapshot stats = svc.stats();
-  EXPECT_GE(stats.counter("service.demotions"), 1u) << "sustained overruns must demote";
-  EXPECT_NE(svc.governor().level(), StrategyKind::kExact);
-  // Early requests burned their budget inside the slow exact rung and were
-  // shed — explicitly, with a reason, never silently.
-  ASSERT_EQ(responses.front().verdict, Verdict::kOverloaded);
-  EXPECT_EQ(responses.front().reason, "planning budget exhausted");
-  // Once demoted, requests are decided by a degraded rung within budget.
-  const AdmitResponse& last = responses.back();
-  EXPECT_NE(last.verdict, Verdict::kOverloaded);
-  EXPECT_TRUE(last.strategy == "digest" || last.strategy == "greedy")
-      << last.strategy;
-  EXPECT_EQ(stats.counter("service.revalidations_failed"), 0u);
-}
-
-TEST(ServiceGovernor, CostModelStopsPickingExactOnceItLearnsTheCost) {
-  WorkloadGenerator gen = make_generator(11);
-  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
-  ServiceConfig config;
-  config.lanes = 1;
-  config.default_budget_us = 500'000;  // generous: the slow exact rung fits
-  AdmissionService svc(ledger, gen.phi(), config);
-  static std::atomic<int> delay_ms2{6};
-  svc.registry().replace(
-      StrategyKind::kExact,
-      std::make_unique<SlowExact>(PlanningKernel{}, delay_ms2));
-
-  // Served by exact (EWMA learns ~6ms), still within the generous budget.
-  const AdmitResponse first = svc.admit(make_request(gen, 1, 0));
-  EXPECT_EQ(first.strategy, "exact");
-  // A tight-budget request must now be steered away from exact *before*
-  // burning its budget — the EWMA predicted the overrun. (Tight relative to
-  // the ≥ 6 ms exact EWMA, roomy enough for a degraded rung on slow hosts.)
-  const AdmitResponse tight = svc.admit(make_request(gen, 2, 1, /*budget_us=*/5'000));
-  EXPECT_NE(tight.verdict, Verdict::kOverloaded);
-  EXPECT_TRUE(tight.strategy == "digest" || tight.strategy == "greedy")
-      << tight.strategy;
-  EXPECT_EQ(svc.stats().counter("service.demotions"), 0u)
-      << "per-request steering, not governor demotion";
-}
-
-TEST(ServiceGovernor, PromotesBackAfterPressureClears) {
-  WorkloadGenerator gen = make_generator(12);
-  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
-  ServiceConfig config;
-  config.lanes = 1;
-  config.default_budget_us = 3'000;
-  config.governor.slo_ns = 1'000'000;
-  config.governor.demote_after = 2;
-  config.governor.promote_after = 4;
-  config.governor.latency_window = 8;  // short memory: recovery is visible
-  AdmissionService svc(ledger, gen.phi(), config);
-  static std::atomic<int> delay_ms3{8};
-  svc.registry().replace(
-      StrategyKind::kExact,
-      std::make_unique<SlowExact>(PlanningKernel{}, delay_ms3));
-
-  std::uint64_t id = 0;
-  for (int i = 0; i < 6; ++i) {
-    svc.admit(make_request(gen, ++id, static_cast<Tick>(i)));
-  }
-  ASSERT_NE(svc.governor().level(), StrategyKind::kExact) << "setup: demoted";
-
-  delay_ms3.store(0);  // pressure clears: exact is fast again
-  for (int i = 0; i < 40 && svc.governor().level() != StrategyKind::kExact; ++i) {
-    svc.admit(make_request(gen, ++id, static_cast<Tick>(i)));
-  }
-  EXPECT_EQ(svc.governor().level(), StrategyKind::kExact)
-      << "sustained calm must promote back to the top rung";
-  EXPECT_GE(svc.stats().counter("service.promotions"), 1u);
-}
-
-// Degraded strategies may be pessimistic, never optimistic: anything kDigest
-// or kGreedy calls feasible, the exact kernel must also call feasible, and
-// the plan must fit the live snapshot it was computed against.
-TEST(ServiceStrategies, DegradedAcceptsAreNeverUnsafelyOptimistic) {
-  WorkloadGenerator gen = make_generator(13);
-  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
-  const PlanningKernel kernel;
-  StrategyRegistry registry(kernel, /*digest_max_segments=*/8);
-  const CancellationToken never;
-
-  std::size_t degraded_accepts = 0, degraded_pessimistic = 0;
-  for (const Arrival& a : gen.make_arrivals(kHorizon)) {
-    const ConcurrentRequirement rho =
-        make_concurrent_requirement(gen.phi(), a.computation);
-    const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(
-        ledger, effective_window(rho, a.at), touched_shard_mask(rho));
-    const PlanResult exact = kernel.speculate(rho, a.at, snapshot);
-    for (const StrategyKind kind : {StrategyKind::kDigest, StrategyKind::kGreedy}) {
-      const PlanResult degraded =
-          registry.strategy(kind).speculate(rho, a.at, snapshot, never);
-      if (degraded.feasible()) {
-        ++degraded_accepts;
-        EXPECT_TRUE(exact.feasible())
-            << strategy_name(kind) << " accepted what exact rejects: " << rho.name();
-        // Re-validation: the degraded plan must fit the snapshot's residual
-        // (minus() refuses plans the view does not cover — the same check
-        // CommitmentLedger::admit makes at commit).
-        EXPECT_TRUE(snapshot.minus(*degraded.plan).has_value())
-            << strategy_name(kind) << " plan not covered for " << rho.name();
-      } else if (exact.feasible()) {
-        ++degraded_pessimistic;  // allowed: degradation costs acceptance rate
+    std::size_t accepted = 0, mismatches = 0;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      AdmitRequest request;
+      request.id = i + 1;
+      request.at = arrivals[i].at;
+      request.budget_us = 60'000'000;
+      request.computation = arrivals[i].computation;
+      const AdmitResponse served = svc.admit(std::move(request));
+      const AdmissionDecision expected =
+          referee.request(arrivals[i].computation, arrivals[i].at);
+      ASSERT_NE(served.verdict, Verdict::kOverloaded) << "seed " << seed << " #" << i;
+      if ((served.verdict == Verdict::kAccepted) != expected.accepted) {
+        ADD_FAILURE() << "seed " << seed << " request #" << i << ": served "
+                      << verdict_name(served.verdict) << ", referee "
+                      << (expected.accepted ? "accepted" : expected.reason);
+        ++mismatches;
       }
+      accepted += expected.accepted;
     }
-    // Evolve the ledger with the exact decision so later snapshots see a
-    // progressively fragmented residual.
-    AdmissionDecision ignored;
-    kernel.commit(exact, ledger, ignored);
+    svc.drain_and_stop();
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    EXPECT_EQ(ledger.admitted_count(), referee.ledger().admitted_count())
+        << "seed " << seed;
+    // The workload must be contended, or parity proves little.
+    EXPECT_GT(accepted, 0u) << "seed " << seed;
+    EXPECT_LT(accepted, arrivals.size()) << "seed " << seed;
   }
-  EXPECT_GT(degraded_accepts, 0u) << "workload never exercised degraded accepts";
 }
 
 // ---- shedding & drain -----------------------------------------------------
+
+/// Waits until `submitted` requests have entered `svc` and left its queue.
+/// With the ledger mutex held by the caller, a lane that took one is blocked
+/// in capture(): this is how a test holds a lane mid-request.
+void await_dequeued(const AdmissionService& svc, std::uint64_t submitted) {
+  while (svc.stats().counter("service.requests") < submitted ||
+         svc.queue_depth() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
   WorkloadGenerator gen = make_generator(14);
@@ -365,9 +237,6 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
   config.lanes = 1;
   config.queue_capacity = 1;
   AdmissionService svc(ledger, gen.phi(), config);
-  auto latched = std::make_unique<LatchedExact>(PlanningKernel{});
-  LatchedExact* latch = latched.get();
-  svc.registry().replace(StrategyKind::kExact, std::move(latched));
 
   std::mutex mutex;
   std::vector<AdmitResponse> responses;
@@ -376,8 +245,9 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
     responses.push_back(r);
   };
 
-  svc.submit(make_request(gen, 1, 0), collect);  // occupies the single lane
-  latch->await_entered();
+  std::unique_lock<std::mutex> held(svc.ledger_mutex());
+  svc.submit(make_request(gen, 1, 0, /*budget_us=*/10'000'000), collect);
+  await_dequeued(svc, 1);                        // the single lane is held
   svc.submit(make_request(gen, 2, 1), collect);  // fills the queue
   for (std::uint64_t id = 3; id <= 6; ++id) {    // these must shed inline
     svc.submit(make_request(gen, id, 2), collect);
@@ -391,11 +261,42 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
       EXPECT_GE(r.id, 3u);
     }
   }
-  latch->release();
+  held.unlock();
   svc.drain_and_stop();
   std::lock_guard<std::mutex> lock(mutex);
   EXPECT_EQ(responses.size(), 6u) << "every submitted request was answered";
   EXPECT_EQ(svc.stats().counter("service.shed_queue"), 4u);
+}
+
+// A request that waits behind a held lane longer than its planning budget is
+// shed with kOverloaded when a lane reaches it — answered, not decided late.
+TEST(ServiceShedding, BudgetSpentInTheQueueShedsWithAReason) {
+  WorkloadGenerator gen = make_generator(17);
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+  ServiceConfig config;
+  config.lanes = 1;
+  AdmissionService svc(ledger, gen.phi(), config);
+
+  std::promise<AdmitResponse> first, second;
+  std::future<AdmitResponse> first_answer = first.get_future();
+  std::future<AdmitResponse> second_answer = second.get_future();
+  std::unique_lock<std::mutex> held(svc.ledger_mutex());
+  svc.submit(make_request(gen, 1, 0, /*budget_us=*/10'000'000),
+             [&first](const AdmitResponse& r) { first.set_value(r); });
+  await_dequeued(svc, 1);  // the single lane is held
+  svc.submit(make_request(gen, 2, 1, /*budget_us=*/1'000),
+             [&second](const AdmitResponse& r) { second.set_value(r); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // > its 1 ms budget
+  held.unlock();
+
+  EXPECT_NE(first_answer.get().verdict, Verdict::kOverloaded);
+  const AdmitResponse late = second_answer.get();
+  EXPECT_EQ(late.id, 2u);
+  EXPECT_EQ(late.verdict, Verdict::kOverloaded);
+  EXPECT_EQ(late.reason, "planning budget exhausted");
+  EXPECT_TRUE(late.strategy.empty()) << "a shed names no strategy";
+  svc.drain_and_stop();
+  EXPECT_EQ(svc.stats().counter("service.shed_budget"), 1u);
 }
 
 // Without a lane nothing would ever dequeue a submit: the service refuses to
@@ -441,8 +342,7 @@ TEST(ServiceShedding, DrainAnswersEverythingAndStopsIntake) {
 // ---- stats: the service's own registry ------------------------------------
 
 // Submitters race a stats() reader. Every submit ends in exactly one of the
-// four outcomes, and every answer that names a strategy was counted (and
-// timed) under that strategy.
+// four outcomes.
 TEST(ServiceMetrics, ConcurrentSubmittersAndAReaderBalanceTheBooks) {
   WorkloadGenerator gen = make_generator(23);
   CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
@@ -498,18 +398,6 @@ TEST(ServiceMetrics, ConcurrentSubmittersAndAReaderBalanceTheBooks) {
                           stats.counter("service.rejected") +
                           stats.counter("service.shed_queue") +
                           stats.counter("service.shed_budget"));
-  std::uint64_t served = 0;
-  for (const char* strategy : {"exact", "digest", "greedy"}) {
-    const std::uint64_t n = stats.counter(std::string("service.served.") + strategy);
-    EXPECT_EQ(stats.histograms.at(std::string("service.latency.") + strategy + "_ns")
-                  .count,
-              n)
-        << strategy;
-    served += n;
-  }
-  std::uint64_t with_strategy = 0;
-  for (const AdmitResponse& r : responses) with_strategy += !r.strategy.empty();
-  EXPECT_EQ(served, with_strategy);
   EXPECT_EQ(stats.counter("service.revalidations_failed"), 0u);
 }
 
@@ -686,6 +574,119 @@ TEST(ServiceSocket, StopDrainsInFlightRequestsBeforeClosing) {
   EXPECT_EQ(svc.stats().counter("service.requests"), n);
 }
 
+// ---- session lifecycle ----------------------------------------------------
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// One short session: connect, one round trip, close. False when the server
+/// did not answer it (the dial failed, or nothing came back in time).
+bool short_session(const std::string& path, WorkloadGenerator& gen, std::uint64_t id) {
+  ClientOptions options;
+  options.connect_timeout_ms = 2000;
+  options.read_timeout_ms = 2000;
+  options.reconnect = false;
+  try {
+    ServiceClient client = ServiceClient::connect_unix(path, options);
+    return client.call(make_request(gen, id, 0, /*budget_us=*/10'000'000)).id == id;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+/// Lowers this process's soft descriptor limit for one scope.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+// A daemon that serves many short-lived clients must not keep their sockets:
+// once a client has closed and been answered, its descriptor is given back.
+TEST(ServiceSessions, ClosedSessionsGiveBackTheirDescriptors) {
+  WorkloadGenerator gen = make_generator(26);
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+  AdmissionService svc(ledger, gen.phi(), ServiceConfig{});
+  ServerConfig sconfig;
+  sconfig.unix_path = test_socket_path("reap");
+  ServiceServer server(svc, sconfig);
+
+  const std::size_t before = open_fds();
+  for (std::uint64_t id = 1; id <= 200; ++id) {
+    ASSERT_TRUE(short_session(server.unix_path(), gen, id)) << "session " << id;
+  }
+  // A reader may still be retiring the last session or two; a leak would
+  // leave all 200.
+  EXPECT_LE(open_fds(), before + 8);
+  EXPECT_EQ(server.sessions_accepted(), 200u);
+  server.stop();
+}
+
+// Under a descriptor limit, sequential short sessions keep being answered
+// long past the limit, and after accept() has failed with EMFILE a new
+// client is answered once descriptors free up: the acceptor never goes
+// silent.
+TEST(ServiceSessions, AcceptorOutlivesTheDescriptorLimit) {
+  WorkloadGenerator gen = make_generator(27);
+  CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+  AdmissionService svc(ledger, gen.phi(), ServiceConfig{});
+  ServerConfig sconfig;
+  sconfig.unix_path = test_socket_path("emfile");
+  ServiceServer server(svc, sconfig);
+
+  const rlim_t limit = open_fds() + 16;
+  ScopedFdLimit scoped(limit);
+  ASSERT_TRUE(scoped.ok());
+  std::uint64_t answered = 0;
+  while (answered < 4 * limit && short_session(server.unix_path(), gen, answered + 1)) {
+    ++answered;
+  }
+  EXPECT_EQ(answered, 4 * limit) << "sessions stopped being answered";
+
+  // Now run the acceptor out of descriptors. Fill the table but for one slot. The acceptor blocked in accept() already
+  // holds a descriptor for its next connection, so client D takes the free
+  // slot and is still accepted; the acceptor's next accept() then fails with
+  // EMFILE for as long as the table stays full.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // readers retire
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) fillers.push_back(fd);
+  ASSERT_FALSE(fillers.empty());
+  ::close(fillers.back());
+  fillers.pop_back();
+  ClientOptions options;
+  options.read_timeout_ms = 2000;
+  options.reconnect = false;
+  try {
+    ServiceClient d = ServiceClient::connect_unix(server.unix_path(), options);
+    EXPECT_EQ(d.call(make_request(gen, 999, 0, /*budget_us=*/10'000'000)).id, 999u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // EMFILE spins
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "session on the last free descriptor: " << e.what();
+  }
+  for (const int fd : fillers) ::close(fd);
+  EXPECT_TRUE(short_session(server.unix_path(), gen, 1000))
+      << "the acceptor went silent after running out of descriptors";
+  server.stop();
+}
+
 // ---- session tokens & client bounds ---------------------------------------
 
 TEST(ServiceAuth, SecretAdmitsMatchingTokenAndRefusesTheRest) {
@@ -733,9 +734,6 @@ TEST(ServiceClientBounds, ReadTimeoutThrowsAndTheStreamSurvives) {
   ServiceConfig config;
   config.lanes = 1;
   AdmissionService svc(ledger, gen.phi(), config);
-  auto latched = std::make_unique<LatchedExact>(PlanningKernel{});
-  LatchedExact* latch = latched.get();
-  svc.registry().replace(StrategyKind::kExact, std::move(latched));
   ServerConfig sconfig;
   sconfig.unix_path = test_socket_path("timeout");
   ServiceServer server(svc, sconfig);
@@ -743,13 +741,14 @@ TEST(ServiceClientBounds, ReadTimeoutThrowsAndTheStreamSurvives) {
   ClientOptions options;
   options.read_timeout_ms = 100;
   ServiceClient client = ServiceClient::connect_unix(server.unix_path(), options);
+  std::unique_lock<std::mutex> held(svc.ledger_mutex());
   client.send(make_request(gen, 1, 0, /*budget_us=*/10'000'000));
-  latch->await_entered();  // the lane is held: no decision is coming yet
+  await_dequeued(svc, 1);  // the lane is held: no decision is coming yet
   EXPECT_THROW(client.receive(), std::system_error)
       << "a held decision must bound receive(), not block it forever";
   // The timeout is a bound, not a teardown: release the lane and the same
   // connection still delivers the decision.
-  latch->release();
+  held.unlock();
   auto response = client.receive();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->id, 1u);
