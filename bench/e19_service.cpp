@@ -7,7 +7,12 @@
 // redirect):
 //
 //   light — an open-loop trickle (diurnal pattern, wall-clock gaps far wider
-//     than planning time). Nothing is shed.
+//     than planning time). Nothing is shed. The phase is replayed through a
+//     sequential RotaAdmissionController over the same supply: the service
+//     decides in FCFS rounds, so every verdict must match
+//     (light.referee_mismatches == 0), and the FNV-1a 64 digest over id and
+//     verdict in arrival order (light.decision_digest) must equal the pin
+//     beside kLightSeed. A deliberate decision change re-pins it.
 //
 //   flash — a flash crowd: producers flood requests far faster than the
 //     lanes can plan. The bounded queue must shed (kOverloaded, never
@@ -34,6 +39,8 @@
 #include <thread>
 #include <vector>
 
+#include "rota/admission/controller.hpp"
+#include "rota/cluster/cluster.hpp"
 #include "rota/service/service.hpp"
 #include "rota/workload/generator.hpp"
 
@@ -43,6 +50,10 @@ using namespace rota;
 using namespace rota::service;
 
 constexpr Tick kHorizon = 4000;
+constexpr std::uint64_t kLightSeed = 2026;
+// Light-phase decision digests for kLightSeed, per run size.
+constexpr const char* kLightSmokeDigest = "4174f46267fa6511";
+constexpr const char* kLightFullDigest = "96756d67da0f8bde";
 
 WorkloadGenerator make_generator(std::uint64_t seed) {
   WorkloadConfig config;
@@ -87,6 +98,10 @@ struct PhaseReport {
   std::size_t shed = 0;
   std::uint64_t p99_planning_ns = 0;
   std::uint64_t max_queue_depth = 0;
+  // Light phase only: verdicts that differ from the sequential referee, and
+  // the digest of the served verdicts.
+  std::size_t referee_mismatches = 0;
+  std::string decision_digest;
 };
 
 PhaseReport report_of(const Collector& collected,
@@ -116,8 +131,12 @@ void write_phase(std::ofstream& out, const char* name, const PhaseReport& r,
       << ", \"accepted\": " << r.accepted << ", \"rejected\": " << r.rejected
       << ", \"shed\": " << r.shed
       << ", \"p99_planning_ns\": " << r.p99_planning_ns
-      << ", \"max_queue_depth\": " << r.max_queue_depth << "}"
-      << (trailing_comma ? "," : "") << "\n";
+      << ", \"max_queue_depth\": " << r.max_queue_depth;
+  if (!r.decision_digest.empty()) {
+    out << ", \"referee_mismatches\": " << r.referee_mismatches
+        << ", \"decision_digest\": \"" << r.decision_digest << "\"";
+  }
+  out << "}" << (trailing_comma ? "," : "") << "\n";
 }
 
 }  // namespace
@@ -143,8 +162,9 @@ int main(int argc, char** argv) {
   const std::size_t light_n = smoke ? 120 : 600;
   PhaseReport light;
   {
-    WorkloadGenerator gen = make_generator(2026);
-    CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
+    WorkloadGenerator gen = make_generator(kLightSeed);
+    const ResourceSet supply = gen.base_supply(TimeInterval(0, kHorizon));
+    CommitmentLedger ledger(supply);
     ServiceConfig config;
     config.lanes = 2;
     config.queue_capacity = 64;
@@ -178,10 +198,36 @@ int main(int argc, char** argv) {
       std::cerr << "FATAL: light phase revalidation failures\n";
       return 1;
     }
+
+    // The referee: the same arrivals, decided one at a time.
+    std::vector<Verdict> served(arrivals.size());
+    for (const AdmitResponse& r : collected.responses) served[r.id - 1] = r.verdict;
+    RotaAdmissionController referee(gen.phi(), supply);
+    std::string log;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      const bool accepted =
+          referee.request(arrivals[i].computation, arrivals[i].at).accepted;
+      if ((served[i] == Verdict::kAccepted) != accepted) ++light.referee_mismatches;
+      log += std::to_string(i + 1) + ' ' + verdict_name(served[i]) + '\n';
+    }
+    light.decision_digest = cluster::decision_digest(log);
   }
   print_phase("light", light);
+  std::printf("light  referee mismatches %zu, decision digest %s\n",
+              light.referee_mismatches, light.decision_digest.c_str());
   if (light.shed != 0) {
     std::cerr << "FATAL: light load shed " << light.shed << " requests\n";
+    return 1;
+  }
+  if (light.referee_mismatches != 0) {
+    std::cerr << "FATAL: " << light.referee_mismatches
+              << " light-phase verdicts differ from the sequential referee\n";
+    return 1;
+  }
+  const std::string pinned = smoke ? kLightSmokeDigest : kLightFullDigest;
+  if (light.decision_digest != pinned) {
+    std::cerr << "FATAL: light-phase decision digest " << light.decision_digest
+              << " differs from the pin " << pinned << "\n";
     return 1;
   }
 

@@ -8,12 +8,12 @@
 //   ./build/examples/rota_served --tcp 7341 --lanes 4 --queue 128
 //
 // SIGINT/SIGTERM trigger the clean drain: stop accepting, half-close the
-// sessions, answer everything already queued, join the lanes, exit. The exit
+// sessions, answer everything already queued, join the dispatcher, exit. The exit
 // code is non-zero if any revalidation failed (an accept the live residual
 // refused at commit — must never happen).
 //
 // Set ROTA_TRACE=/path/trace.json to record a Chrome trace of the run
-// (plan.speculate / plan.commit spans from the lanes; load it in
+// (batch.round spans with plan.speculate / plan.commit inside; load it in
 // chrome://tracing or Perfetto). Its metrics dump holds the global registry
 // (plan.*, ledger.*) merged with the service's own service.* snapshot.
 #include <atomic>
@@ -57,7 +57,7 @@ int usage(const char* argv0) {
       << "usage: " << argv0 << " [options]\n"
       << "  --socket PATH    unix socket to listen on (default /tmp/rota_admission.sock)\n"
       << "  --tcp PORT       also listen on loopback TCP (0 = ephemeral)\n"
-      << "  --lanes N        planning lanes (default 2)\n"
+      << "  --lanes N        planning threads per round (default 2)\n"
       << "  --queue N        admission queue capacity (default 64)\n"
       << "  --budget-us N    default planning budget per request (default 20000)\n"
       << "  --locations N    supply topology size, must match the client (default 4)\n"

@@ -213,6 +213,30 @@ def gate_e19(base, cand):
         failures.append(
             f"{cand['revalidations_failed']} accept(s) were refused by the "
             "live residual at commit")
+
+    # Decisions: the light phase is replayed through the sequential referee,
+    # and over the same request count its verdict digest must not move.
+    mismatches = light.get("referee_mismatches")
+    if mismatches is None:
+        failures.append("light phase carries no referee comparison")
+    elif int(mismatches) != 0:
+        failures.append(
+            f"{mismatches} light-phase verdict(s) differ from the sequential "
+            "referee")
+    base_light = phase(base, "light")
+    base_digest = base_light.get("decision_digest")
+    cand_digest = light.get("decision_digest")
+    if base_light.get("requests") != light.get("requests"):
+        print("light decision digest not compared: request counts differ "
+              f"({base_light.get('requests')} vs {light.get('requests')})")
+    elif base_digest is None or cand_digest is None:
+        print("light decision digest not compared: an artifact carries none")
+    elif base_digest != cand_digest:
+        failures.append(
+            f"light decision digest changed over the same {light['requests']} "
+            f"requests: {base_digest} -> {cand_digest}")
+    else:
+        print(f"light decision digest: {cand_digest} (unchanged)")
     return failures
 
 

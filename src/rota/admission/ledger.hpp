@@ -15,8 +15,8 @@
 // the residual there sees nothing. Expiry bumps no revision — a speculation
 // whose window lies at or after the lapse point reads exactly what it read
 // before — so the planning kernel checks the lapse point separately (see
-// PlanningKernel::commit). Controllers expire after every decision; a ledger
-// nobody expires (the admission service's) keeps its whole history.
+// PlanningKernel::commit). Controllers expire after each decision or round;
+// the admission service never does and keeps its whole history.
 #pragma once
 
 #include <cstdint>

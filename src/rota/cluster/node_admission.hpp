@@ -8,10 +8,11 @@
 //     BatchAdmissionController — the deterministic in-sim configuration,
 //     byte-identical to the historical controller-owning ClusterNode;
 //   * service::ServiceNodeAdmission: the node plans against the live
-//     AdmissionService's sharded ledger, capturing owned snapshots and
-//     committing through the same steps the serving lanes use, and
-//     speculating concurrently with them — the daemon configuration, where
-//     federation and live traffic must agree on one residual.
+//     AdmissionService's sharded ledger: probes capture owned snapshots,
+//     and claims and local batches decide in the service dispatcher's own
+//     admission rounds (admit_round) under the service's ledger mutex — the
+//     daemon configuration, where federation and live traffic must agree on
+//     one residual.
 //
 // The contract mirrors the protocol's semantics: probe() is speculative and
 // reserves nothing; claim() re-validates against the live residual and

@@ -21,6 +21,7 @@
 #include "rota/logic/symbolic/feasibility.hpp"
 #include "rota/plan/kernel.hpp"
 #include "rota/runtime/batch_controller.hpp"
+#include "rota/service/federation.hpp"
 
 namespace rota::fuzz {
 
@@ -515,6 +516,48 @@ void kernel_case(Gen& g, Recorder& rec) {
                  out << "lanes=" << lanes << ": batch admitted "
                      << batch.ledger().admitted_count() << ", sequential "
                      << seq.ledger().admitted_count();
+                 return out.str();
+               });
+  }
+
+  // The daemon's claim path: ServiceNodeAdmission::admit_batch runs the
+  // service dispatcher's rounds on a live service ledger that never expires.
+  // It must still decide exactly like the sequential controller, and once
+  // expired at its final clock its residual must be the sequential one.
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
+    CommitmentLedger ledger(supply, 0);
+    service::ServiceConfig config;
+    config.lanes = lanes;
+    service::AdmissionService svc(ledger, CostModel{}, config);
+    service::ServiceNodeAdmission node(svc);
+    const std::vector<AdmissionDecision> got = node.admit_batch(requests);
+    svc.drain_and_stop();
+    if (!rec.expect("service-decision-count", got.size() == baseline.size(), [&] {
+          std::ostringstream out;
+          out << "lanes=" << lanes << ": " << got.size() << " decisions for "
+              << baseline.size() << " requests";
+          return out.str();
+        })) {
+      continue;
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const bool same = got[i].accepted == baseline[i].accepted &&
+                        got[i].reason == baseline[i].reason &&
+                        got[i].plan == baseline[i].plan;
+      rec.expect("service-decision-parity", same, [&] {
+        std::ostringstream out;
+        out << "lanes=" << lanes << " request " << i << " ("
+            << requests[i].rho.name() << "): service " << describe_decision(got[i])
+            << ", sequential " << describe_decision(baseline[i]);
+        return out.str();
+      });
+    }
+    ledger.expire();
+    rec.expect("service-residual-parity",
+               ledger.residual() == seq.ledger().residual(), [&] {
+                 std::ostringstream out;
+                 out << "lanes=" << lanes
+                     << ": expired service residual diverges from sequential";
                  return out.str();
                });
   }

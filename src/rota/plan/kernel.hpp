@@ -22,8 +22,11 @@
 //     its snapshot was taken: a stale speculation is redone, never
 //     committed. Otherwise it advances the ledger clock, subtracts the plan
 //     on accept, and issues the decision — FCFS order is whatever order the
-//     caller commits in. commit() never expires the ledger: the admission
-//     service commits directly and keeps its whole history.
+//     caller commits in. commit() never expires the ledger; its callers
+//     choose when the ledger forgets. decide() and the batch controller
+//     expire around every decision or round; the admission service, whose
+//     rounds (admit_round, rota/runtime/batch_controller.hpp) are its only
+//     commits, never expires and keeps its whole history.
 //
 // decide() is the sequential composition (capture the request's effective
 // window, speculate, commit, then expire the ledger at its new clock; retry

@@ -8,8 +8,9 @@
 //
 //   * capture(ledger, window, mask) — the admission capture. Owns the
 //     residual restricted to `window`, keeping only types whose shard is in
-//     `mask`. The sequential decide(), the batch round (over its request
-//     hull), the daemon's lanes, cluster probes, negotiation and periodic
+//     `mask`. The sequential decide(), the admission round (over its
+//     request hull; the batch controller, the daemon and its peer claims
+//     all decide in such rounds), cluster probes, negotiation and periodic
 //     series all plan against one of these.
 //   * capture(ledger)        — an owned copy of the whole residual, for tests
 //     and fuzz oracles that speculate anything against one snapshot.

@@ -1,60 +1,46 @@
-// Batched admission: the sequential FCFS controller's semantics at pipeline
-// throughput.
+// The admission round, and the batch controller built on it.
 //
-// A batch of (Λ, s, d) requests is admitted in rounds, all expressed in the
-// planning kernel's vocabulary (rota/plan/):
+// admit_round() is the one multi-request decision path: the batch
+// controller, the admission service's dispatcher and its peer claims all
+// call it, so every surface decides in FCFS order through the same steps
+// (planning-kernel vocabulary, rota/plan/):
 //
-//   snapshot  — FeasibilitySnapshot::capture(ledger, hull, mask) freezes one
-//               *owned* view of the residual per round, restricted to the
-//               hull of the round's windows and to the location shards the
-//               round's demands touch: one filtered copy per round instead
-//               of one restriction per request, yielding bit-identical plans
-//               (the planner never reads outside a request's window or
-//               demand types).
-//   speculate — lanes claim round indices from an atomic cursor (in FCFS
-//               order) and plan them against the shared snapshot via
-//               PlanningKernel::speculate — pure and thread-safe. Each lane
-//               publishes its finished PlanResult into a per-request slot
-//               with a release store; the slots form a lock-free MPSC queue
-//               in request order. A lane that claims an index whose shard
-//               footprint intersects an earlier feasible (would-be-accept)
-//               speculation marks the slot skipped instead of planning it —
-//               that result could only come out stale — and stops the
-//               round's remaining claims, which are equally doomed.
-//   commit    — the calling thread is the single committer: it consumes
-//               slots strictly in FCFS order (acquire loads), committing
-//               each through PlanningKernel::commit. Thanks to per-shard
-//               revision stamps, an accept only invalidates later
-//               speculations that touch the *same location shards*; results
-//               on foreign shards are salvaged and committed as-is. The
-//               first stale (or skipped) slot ends the round: the tail is
-//               re-speculated against a fresh snapshot next round at
-//               amortized cost — redone, never committed stale. While the
-//               head slot is still in flight the committer helps speculate
-//               instead of blocking.
+//   snapshot  — one owned FeasibilitySnapshot::capture(ledger, hull, mask)
+//               per round, over the hull of the round's windows and the
+//               shards its demands touch; plans are bit-identical to a
+//               per-request capture's (the planner reads nothing else).
+//   speculate — lanes claim indices from an atomic cursor in FCFS order,
+//               run PlanningKernel::speculate (pure, thread-safe) against the
+//               shared snapshot and publish each PlanResult into a slot with
+//               a release store: a lock-free MPSC queue in request order. An
+//               index whose shard footprint meets an earlier feasible
+//               speculation is skipped (it could only come out stale), and
+//               the round's remaining claims stop with it.
+//   commit    — the calling thread commits slots in FCFS order through
+//               PlanningKernel::commit, helping speculate while the head is
+//               in flight. Per-shard revision stamps salvage results on
+//               shards no earlier accept touched; the first stale or skipped
+//               slot ends the round, and the tail is re-speculated next round
+//               against a fresh snapshot — redone, never committed stale.
 //
-//   expire    — the ledger forgets supply behind its clock at the start of
-//               every round and when admit_batch returns, so each round's
-//               snapshot copies only live supply. A slot whose window starts
-//               behind the clock (an arrival that lags the requests already
-//               committed) expires the ledger before its commit; if that
-//               moved the lapse point, the kernel refuses the slot as stale
-//               and the next round re-speculates it against the trimmed
-//               residual, exactly as the sequential controller would have
-//               planned it. Arrival-ordered input never takes that path.
+// The round owns no expiry: it also ends before a non-head slot whose window
+// starts behind the clock once the clock has moved since the snapshot. The
+// batch controller expires before every round, so that slot is planned as
+// the sequential controller would plan it; the admission service never
+// expires. A slot whose planning budget ran out (kCancelled) is settled
+// without a commit and does not end the round; one whose speculation throws
+// ends it.
 //
-// Rejections — the common case under heavy traffic — never mutate the
-// residual, so arbitrarily long reject runs are decided from one snapshot
-// with full parallelism; and with shard salvage, accept traffic on one
-// location no longer serializes speculation on the others. The decision
-// sequence (accept set, plans, reasons) and the residual are identical,
-// decision for decision, to RotaAdmissionController processing the same
-// requests one at a time, in any arrival order.
+// Rejections never mutate the residual, so long reject runs are decided from
+// one snapshot with full parallelism, and shard salvage keeps accepts on one
+// location from serializing the others. Decisions (accept set, plans,
+// reasons) and the residual are identical to RotaAdmissionController
+// processing the same requests one at a time, in any arrival order.
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string>
+#include <exception>
+#include <span>
 #include <vector>
 
 #include "rota/admission/controller.hpp"
@@ -67,7 +53,27 @@ namespace rota {
 struct BatchRequest {
   ConcurrentRequirement rho;
   Tick at = 0;
+  const CancellationToken* budget = nullptr;  // expired ⇒ kCancelled
 };
+
+/// How one request left its round. Nothing was committed for a kCancelled
+/// speculation (`decision` carries only the reason) or one that threw.
+struct RoundOutcome {
+  PlanStatus planned = PlanStatus::kInfeasible;  // the speculation's status
+  AdmissionDecision decision;
+  std::exception_ptr error;  // set when the speculation threw
+};
+
+/// Requests one round considers at `lanes` planning lanes.
+std::size_t round_lookahead(std::size_t lanes);
+
+/// One round over the head of `requests` (at most round_lookahead of them),
+/// speculating on the caller and up to pool.concurrency() - 1 pool workers.
+/// Settles a non-empty FCFS prefix and returns its outcomes, positionally;
+/// the rest is the next round's. The caller is the ledger's only writer.
+std::vector<RoundOutcome> admit_round(const PlanningKernel& kernel,
+                                      CommitmentLedger& ledger, ThreadPool& pool,
+                                      std::span<const BatchRequest> requests);
 
 class BatchAdmissionController {
  public:
@@ -83,35 +89,19 @@ class BatchAdmissionController {
         kernel_(policy),
         pool_(concurrency) {}
 
-  /// Admits the requests in the given (FCFS) order. Returns one decision per
-  /// request, positionally.
+  /// Admits the requests in the given (FCFS) order in admit_round() rounds,
+  /// expiring the ledger before each round and on return. Returns one
+  /// decision per request, positionally; rethrows a speculation's exception
+  /// after committing the requests ahead of it.
   std::vector<AdmissionDecision> admit_batch(const std::vector<BatchRequest>& requests);
-
-  /// Derives ρ(Λ, s, d) via this controller's Φ (for building batches).
-  ConcurrentRequirement derive(const DistributedComputation& lambda) const {
-    return make_concurrent_requirement(phi_, lambda);
-  }
 
   /// Single-request path — identical to the sequential controller.
   AdmissionDecision request(const ConcurrentRequirement& rho, Tick now) {
     return kernel_.decide(ledger_, rho, now);
   }
 
-  /// Commits a speculation produced against a snapshot of this controller's
-  /// ledger; nullopt when the speculation went stale (re-speculate).
-  std::optional<AdmissionDecision> commit(const PlanResult& result) {
-    AdmissionDecision decision;
-    if (kernel_.commit(result, ledger_, decision) != CommitStatus::kCommitted) {
-      return std::nullopt;
-    }
-    return decision;
-  }
-
   /// Resource acquisition rule.
   void on_join(const ResourceSet& joined) { ledger_.join(joined); }
-
-  /// Computation leave rule (only before the computation starts).
-  bool release(const std::string& name) { return ledger_.release(name); }
 
   const CommitmentLedger& ledger() const { return ledger_; }
   /// Mutable ledger access for recovery paths (audit-log replay after a
@@ -120,8 +110,6 @@ class BatchAdmissionController {
   CommitmentLedger& ledger_for_recovery() { return ledger_; }
   const CostModel& phi() const { return phi_; }
   const PlanningKernel& kernel() const { return kernel_; }
-  PlanningPolicy policy() const { return kernel_.policy(); }
-  std::size_t concurrency() const { return pool_.concurrency(); }
 
  private:
   CostModel phi_;

@@ -3,11 +3,10 @@
 // Unbounded queues turn overload into unbounded latency; a bounded queue
 // turns it into an explicit, observable shed decision at the front door
 // (try_push fails, the caller answers kOverloaded immediately). Producers
-// are session threads, consumers the planning lanes on the runtime's
-// ThreadPool — the same few-microseconds-to-milliseconds work units the
-// pool's single-mutex design is already sized for, so a mutex plus one
-// condition variable is nowhere near contention-bound here either, and it
-// keeps the queue trivially correct under ThreadSanitizer.
+// are session threads, the consumer the service's dispatcher, which takes a
+// round's worth of requests at a time — a mutex plus one condition variable
+// is nowhere near contention-bound at that rate, and it keeps the queue
+// trivially correct under ThreadSanitizer.
 //
 // close() wakes every blocked consumer; pops continue to drain what was
 // accepted before the close (clean shutdown never abandons admitted work),
@@ -31,8 +30,6 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  std::size_t capacity() const { return capacity_; }
-
   /// Current number of queued items (racy by nature; a metrics gauge).
   std::size_t depth() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -54,12 +51,13 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks until an item is available or the queue is closed *and* drained;
-  /// nullopt only in the latter case.
-  std::optional<T> pop() {
+  /// Takes the oldest item. With `wait`, blocks until an item is available
+  /// or the queue is closed *and* drained, and returns nullopt only in the
+  /// latter case; without, returns nullopt when nothing is queued right now.
+  std::optional<T> pop(bool wait = true) {
     std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // closed and drained
+    if (wait) ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
@@ -73,11 +71,6 @@ class BoundedQueue {
       closed_ = true;
     }
     ready_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
 
  private:

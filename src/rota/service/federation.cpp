@@ -1,6 +1,8 @@
 #include "rota/service/federation.hpp"
 
 #include <chrono>
+#include <exception>
+#include <span>
 #include <stdexcept>
 
 #include "rota/cluster/digest.hpp"
@@ -13,43 +15,38 @@ ServiceNodeAdmission::ServiceNodeAdmission(AdmissionService& service)
     : service_(service),
       peer_claims_(service.metrics().counter("service.peer_claims")) {}
 
-AdmissionDecision ServiceNodeAdmission::decide(const ConcurrentRequirement& rho,
-                                               Tick now) {
-  // The planning lanes' loop: capture an owned snapshot under the ledger
-  // mutex, speculate outside it, commit under it again; a stale commit
-  // re-captures. This is what makes a peer claim and a concurrently-served
-  // local request agree on one residual.
-  for (;;) {
-    const PlanResult result = probe(rho, now);
-    AdmissionDecision decision;
-    if (service_.commit(result, decision) == CommitStatus::kStale) continue;
-    return decision;
-  }
-}
-
 std::vector<AdmissionDecision> ServiceNodeAdmission::admit_batch(
     const std::vector<BatchRequest>& requests) {
-  // FCFS, like the owned backend: each request commits before the next
-  // speculates, so later requests see earlier accepts.
+  // The dispatcher's rounds, under its mutex: a peer claim and a served
+  // local request agree on one residual, and the batch commits in FCFS order.
   std::vector<AdmissionDecision> decisions;
   decisions.reserve(requests.size());
-  for (const BatchRequest& r : requests) {
-    decisions.push_back(decide(r.rho, r.at));
+  std::lock_guard<std::mutex> lock(service_.ledger_mutex());
+  while (decisions.size() < requests.size()) {
+    for (RoundOutcome& outcome :
+         admit_round(service_.planning_kernel(), service_.shared_ledger(),
+                     service_.lanes(), std::span(requests).subspan(decisions.size()))) {
+      if (outcome.error) std::rethrow_exception(outcome.error);
+      decisions.push_back(std::move(outcome.decision));
+    }
   }
   return decisions;
 }
 
 PlanResult ServiceNodeAdmission::probe(const ConcurrentRequirement& rho,
                                        Tick now) {
-  // Owned, not borrowed: a lane may commit (and rewrite the residual) while
-  // this speculation runs.
-  const FeasibilitySnapshot snapshot = service_.capture(rho, now);
+  // Owned, not borrowed: a round may commit (and rewrite the residual) while
+  // this speculation runs outside the lock.
+  std::unique_lock<std::mutex> lock(service_.ledger_mutex());
+  const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(
+      service_.shared_ledger(), effective_window(rho, now), touched_shard_mask(rho));
+  lock.unlock();
   return service_.planning_kernel().speculate(rho, now, snapshot);
 }
 
 AdmissionDecision ServiceNodeAdmission::claim(const ConcurrentRequirement& rho,
                                               Tick now) {
-  AdmissionDecision decision = decide(rho, now);
+  AdmissionDecision decision = std::move(admit_batch({BatchRequest{rho, now}}).front());
   if (decision.accepted) peer_claims_.add();
   return decision;
 }

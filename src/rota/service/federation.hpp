@@ -18,11 +18,11 @@
 // Two pieces:
 //
 //   * ServiceNodeAdmission — cluster::NodeAdmission over an
-//     AdmissionService: probes capture the same owned snapshot the planning
-//     lanes capture (under the service's ledger mutex) and speculate outside
-//     the lock, concurrently with the lanes; claims run the lanes'
-//     speculate/commit-or-retry loop, so federation and live traffic agree
-//     on one residual and claim-time re-validation keeps its guarantee
+//     AdmissionService: probes capture an owned snapshot under the service's
+//     ledger mutex and speculate outside the lock; claims and local batches
+//     run the dispatcher's admission rounds (admit_round) on the service
+//     ledger under that mutex, so federation and live traffic agree on one
+//     residual and claim-time re-validation keeps its guarantee
 //     (service.revalidations_failed stays 0).
 //
 //   * FederatedService — the daemon driver: wraps submit() with the
@@ -55,8 +55,8 @@
 namespace rota::service {
 
 /// The daemon-mode admission backend: the cluster protocol planning against
-/// the live service ledger, capturing and committing through the same
-/// AdmissionService steps as the planning lanes.
+/// the live service ledger, deciding in the same admission rounds as the
+/// service's dispatcher. A claim is a batch of one.
 class ServiceNodeAdmission final : public cluster::NodeAdmission {
  public:
   explicit ServiceNodeAdmission(AdmissionService& service);
@@ -69,10 +69,6 @@ class ServiceNodeAdmission final : public cluster::NodeAdmission {
                                std::size_t max_segments) override;
 
  private:
-  /// The lanes' speculate/commit-or-retry loop, shared by claim and
-  /// admit_batch.
-  AdmissionDecision decide(const ConcurrentRequirement& rho, Tick now);
-
   AdmissionService& service_;
   obs::Counter& peer_claims_;  // service.peer_claims: claims committed here
 };

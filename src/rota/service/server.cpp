@@ -18,7 +18,7 @@ using net::make_unix_listener;
 using net::send_all;
 
 /// One accepted connection: a reader thread feeding the service, and a
-/// write path any planning lane may call. Kept alive by shared_ptr — the
+/// write path any responding thread may call. Kept alive by shared_ptr — the
 /// response callbacks hold one, so a session outlives its socket peer for
 /// exactly as long as decisions are still owed to it. When its reader exits,
 /// the server drops its own reference (retire()), so the socket closes with
@@ -210,7 +210,7 @@ void ServiceServer::stop() {
   join_exited_readers();
 
   // 3. Drain: every request accepted into the queue is answered through the
-  // still-writable sessions before the lanes stop.
+  // still-writable sessions before the dispatcher stops.
   service_.drain_and_stop();
 
   // 4. Tear down. Each socket closed with its session's last decision.

@@ -3,11 +3,11 @@
 // Listens on a Unix-domain socket (and optionally loopback TCP), reassembles
 // length-prefixed frames per connection, parses admit requests, and submits
 // them to an AdmissionService. Decisions stream back on the same connection
-// as they are made — possibly out of submission order (requests from one
-// connection may be decided by different planning lanes); the client
-// correlates by request id. Each session serializes its writes behind a
-// mutex, so concurrent lanes answering one connection never interleave
-// frames.
+// as they are made — possibly out of submission order (a shed or invalid
+// request is answered at once, a forwarded one when a peer decides); the
+// client correlates by request id. Each session serializes its writes
+// behind a mutex, so the dispatcher, the federation pump and inline sheds
+// answering one connection never interleave frames.
 //
 // A session whose reader has exited (the peer closed, or a protocol error
 // hung it up) retires: the server forgets it and joins its reader at the

@@ -9,11 +9,19 @@ namespace rota::service {
 
 namespace {
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+std::uint64_t ns_between(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+/// `lanes` counts the threads that plan, the dispatcher included: zero is a
+/// misconfiguration, not a request for some default.
+const ServiceConfig& validated(const ServiceConfig& config) {
+  if (config.lanes == 0) {
+    throw std::invalid_argument("AdmissionService: lanes must be at least 1");
+  }
+  return config;
 }
 
 }  // namespace
@@ -30,18 +38,6 @@ AdmissionService::Instruments::Instruments(obs::MetricsRegistry& registry)
       planning_ns(registry.histogram("service.planning_ns")),
       queue_ns(registry.histogram("service.queue_ns")) {}
 
-namespace {
-
-/// A service with no lane never answers: submits would queue forever.
-const ServiceConfig& validated(const ServiceConfig& config) {
-  if (config.lanes == 0) {
-    throw std::invalid_argument("AdmissionService: lanes must be at least 1");
-  }
-  return config;
-}
-
-}  // namespace
-
 AdmissionService::AdmissionService(CommitmentLedger& ledger, CostModel phi,
                                    ServiceConfig config)
     : ledger_(ledger),
@@ -49,13 +45,9 @@ AdmissionService::AdmissionService(CommitmentLedger& ledger, CostModel phi,
       config_(validated(config)),
       m_(metrics_),
       queue_(config.queue_capacity),
-      // lanes workers + the (unused-for-lanes) caller slot: every lane loop
-      // must land on a real worker thread, never run inline in submit().
-      pool_(config.lanes + 1) {
-  for (std::size_t i = 0; i < pool_.concurrency() - 1; ++i) {
-    pool_.submit([this] { lane_loop(); });
-  }
-}
+      // The dispatcher is a planning thread itself: the pool adds lanes - 1.
+      pool_(config.lanes),
+      dispatcher_([this] { dispatch_loop(); }) {}
 
 AdmissionService::~AdmissionService() { drain_and_stop(); }
 
@@ -70,7 +62,7 @@ void AdmissionService::submit(AdmitRequest request, ResponseFn done) {
 
   CancellationToken token = budget_token(request);
   Pending pending{std::move(request), std::move(done), std::move(token),
-                  std::chrono::steady_clock::now()};
+                  std::chrono::steady_clock::now(), {}};
   if (stopping_.load(std::memory_order_acquire) ||
       !queue_.try_push(std::move(pending))) {
     // Shed at the front door: the queue bound (or a stopping service) turned
@@ -96,75 +88,86 @@ AdmitResponse AdmissionService::admit(AdmitRequest request) {
   return future.get();
 }
 
-FeasibilitySnapshot AdmissionService::capture(const ConcurrentRequirement& rho,
-                                              Tick now) {
-  std::lock_guard<std::mutex> lock(ledger_mutex_);
-  return FeasibilitySnapshot::capture(ledger_, effective_window(rho, now),
-                                      touched_shard_mask(rho));
-}
+void AdmissionService::dispatch_loop() {
+  // Taken, unsettled requests in FCFS order, and their requirements. A round
+  // settles a prefix; the rest stays ahead of anything queued since.
+  std::vector<Pending> taken;
+  std::vector<BatchRequest> round;
+  const std::size_t lookahead = round_lookahead(config_.lanes);
+  for (;;) {
+    // Block only while nothing waits for a round.
+    while (taken.size() < lookahead) {
+      std::optional<Pending> next = queue_.pop(/*wait=*/taken.empty());
+      if (!next) break;
+      next->taken_at = std::chrono::steady_clock::now();
+      m_.queue_ns.record(ns_between(next->enqueued_at, next->taken_at));
+      try {
+        round.push_back(BatchRequest{
+            make_concurrent_requirement(phi_, next->request.computation),
+            next->request.at});
+      } catch (...) {
+        // A malformed computation (bad cost model fit, inverted window, …)
+        // is the client's mistake, not the service's overload.
+        RoundOutcome invalid;
+        invalid.error = std::current_exception();
+        settle(*next, invalid);
+        continue;
+      }
+      taken.push_back(std::move(*next));
+    }
+    if (taken.empty()) return;  // closed and drained
 
-CommitStatus AdmissionService::commit(const PlanResult& result,
-                                      AdmissionDecision& decision) {
-  std::lock_guard<std::mutex> lock(ledger_mutex_);
-  return kernel_.commit(result, ledger_, decision);
-}
-
-void AdmissionService::lane_loop() {
-  while (auto pending = queue_.pop()) {
-    serve(std::move(*pending));
+    for (std::size_t i = 0; i < taken.size(); ++i) round[i].budget = &taken[i].token;
+    std::vector<RoundOutcome> outcomes;
+    try {
+      std::lock_guard<std::mutex> lock(ledger_mutex_);
+      outcomes = admit_round(kernel_, ledger_, pool_, round);
+    } catch (...) {
+      // The round itself failed, not one speculation (that settles its own
+      // slot): answer the head with it, so the rest never wait on it.
+      outcomes.emplace_back().error = std::current_exception();
+    }
+    for (std::size_t i = 0; i < outcomes.size(); ++i) settle(taken[i], outcomes[i]);
+    const auto settled = static_cast<std::ptrdiff_t>(outcomes.size());
+    taken.erase(taken.begin(), taken.begin() + settled);
+    round.erase(round.begin(), round.begin() + settled);
   }
 }
 
-void AdmissionService::serve(Pending pending) {
-  const std::uint64_t queue_ns = elapsed_ns(pending.enqueued_at);
-  m_.queue_ns.record(queue_ns);
-
+void AdmissionService::settle(const Pending& pending, const RoundOutcome& outcome) {
   AdmitResponse response;
   response.id = pending.request.id;
-  response.queue_ns = queue_ns;
-
-  const auto planning_start = std::chrono::steady_clock::now();
-  try {
-    const ConcurrentRequirement rho =
-        make_concurrent_requirement(phi_, pending.request.computation);
-    for (;;) {
-      if (pending.token.expired()) {
-        response.verdict = Verdict::kOverloaded;
-        response.reason = "planning budget exhausted";
-        m_.shed_budget.add();
-        break;
-      }
-      const FeasibilitySnapshot snapshot = capture(rho, pending.request.at);
-      const PlanResult result =
-          kernel_.speculate(rho, pending.request.at, snapshot, &pending.token);
-      if (result.status == PlanStatus::kCancelled) continue;  // shed above
-
-      AdmissionDecision decision;
-      if (commit(result, decision) == CommitStatus::kStale) continue;  // re-capture
-
-      response.strategy = "exact";
-      if (decision.accepted) {
-        response.verdict = Verdict::kAccepted;
-        m_.accepted.add();
-      } else {
-        response.verdict = Verdict::kRejected;
-        response.reason = decision.reason;
-        m_.rejected.add();
-        // A plan feasible against a live-revision capture that the residual
-        // then refused: the commit backstop fired. Must stay zero.
-        if (result.feasible()) m_.revalidations_failed.add();
-      }
-      break;
-    }
-  } catch (const std::exception& e) {
-    // A malformed computation (bad cost model fit, inverted window, …) is the
-    // client's mistake, not the service's overload: answer rejected.
+  response.queue_ns = ns_between(pending.enqueued_at, pending.taken_at);
+  if (outcome.error) {
     response.verdict = Verdict::kRejected;
-    response.reason = std::string("invalid request: ") + e.what();
+    try {
+      std::rethrow_exception(outcome.error);
+    } catch (const std::exception& e) {
+      response.reason = std::string("invalid request: ") + e.what();
+    } catch (...) {
+      response.reason = "invalid request";
+    }
     m_.rejected.add();
+  } else if (outcome.planned == PlanStatus::kCancelled) {
+    response.verdict = Verdict::kOverloaded;
+    response.reason = outcome.decision.reason;
+    m_.shed_budget.add();
+  } else {
+    response.strategy = "exact";
+    if (outcome.decision.accepted) {
+      response.verdict = Verdict::kAccepted;
+      m_.accepted.add();
+    } else {
+      response.verdict = Verdict::kRejected;
+      response.reason = outcome.decision.reason;
+      m_.rejected.add();
+      // A plan feasible against the round's snapshot that the residual then
+      // refused: the commit backstop fired. Must stay zero.
+      if (outcome.planned == PlanStatus::kFeasible) m_.revalidations_failed.add();
+    }
   }
-
-  response.planning_ns = elapsed_ns(planning_start);
+  response.planning_ns =
+      ns_between(pending.taken_at, std::chrono::steady_clock::now());
   m_.planning_ns.record(response.planning_ns);
   respond(pending, std::move(response));
 }
@@ -174,15 +177,16 @@ void AdmissionService::respond(const Pending& pending, AdmitResponse response) {
   try {
     pending.done(response);
   } catch (...) {
-    // A throwing completion callback must not take a planning lane down;
-    // the decision was made and recorded either way.
+    // A throwing completion callback must not take the dispatcher down; the
+    // decision was made and recorded either way.
   }
 }
 
 void AdmissionService::drain_and_stop() {
   stopping_.store(true, std::memory_order_release);
-  queue_.close();   // lanes drain what was admitted, then see nullopt
-  pool_.shutdown(); // joins the lanes; idempotent
+  queue_.close();  // the dispatcher drains what was admitted, then sees nullopt
+  if (dispatcher_.joinable()) dispatcher_.join();
+  pool_.shutdown();  // idempotent
 }
 
 }  // namespace rota::service

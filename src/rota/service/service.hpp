@@ -1,37 +1,36 @@
 // AdmissionService: admission-as-a-service around the PlanningKernel.
 //
 // The in-process core of the daemon (rota/service/server.hpp adds sockets):
-// requests enter a bounded admission queue, planning lanes on the runtime's
-// ThreadPool drain it, and each request gets the kernel's one exact
-// decision (Theorem 4), bounded by its planning budget:
+// requests enter a bounded queue and one dispatcher decides them in the batch
+// pipeline's admission rounds (admit_round), FCFS in queue order at any lane
+// count — each the kernel's one exact decision (Theorem 4), bounded by the
+// request's planning budget:
 //
-//   submit ──▶ BoundedQueue ──▶ lane: capture owned snapshot  (ledger lock)
-//                 │                   kernel.speculate         (no lock)
-//                 │ full?             kernel.commit            (ledger lock)
-//                 ▼                     └─ stale? re-capture and retry
-//             kOverloaded             respond
-//             (shed, immediate)
+//   submit ──▶ BoundedQueue ──▶ dispatcher: take the head and whatever else
+//                 │ full?         is queued (≤ round lookahead), derive ρ
+//                 ▼             admit_round under the ledger lock: capture →
+//             kOverloaded         speculate on the lanes → FCFS commit
+//             (shed, immediate) respond after the lock; a stale tail opens
+//                                 the next round, ahead of newer requests
+//
+// `lanes` counts the threads that plan: the dispatcher plus lanes - 1 pool
+// helpers inside each round. At most queue_capacity + round_lookahead(lanes)
+// requests are in flight.
 //
 // Back-pressure is explicit at both ends: a full queue sheds at the front
-// door with kOverloaded (never silence, never unbounded waiting), and a
-// request whose planning budget expires while it waits or plans is shed the
-// same way — a cancelled speculation is not a decision (commit() refuses
-// it), so running out of time can never turn into a wrong verdict. Every
-// accept carries a concrete plan the ledger re-validates at commit;
-// `revalidations_failed` counts the times that backstop fired and must stay
-// zero.
+// door with kOverloaded (never silence, never unbounded waiting), and so does
+// an expired planning budget — a cancelled speculation is not a decision
+// (the round never commits it), so running out of time can never turn into
+// a wrong verdict. Every accept carries a plan the ledger re-validates at
+// commit; `revalidations_failed` counts that backstop firing and must stay 0.
 //
 // Stats: the service counts every fact once, always on, into a
 // MetricsRegistry of its own (metrics(); names under service.* in
 // docs/observability.md); stats() is a snapshot of it. The federation layer
 // counts its forwards and peer claims into the same registry. Nothing is
 // mirrored into the global registry, so two services in one process keep
-// separate counts.
-//
-// Threading: lanes speculate concurrently against *owned* snapshots captured
-// under the service's ledger mutex (hull- and shard-restricted, so the copy
-// is small), and commit under the same mutex. While the service is running
-// it must be the ledger's only writer.
+// separate counts. While the service is running it must be the ledger's
+// only writer.
 #pragma once
 
 #include <atomic>
@@ -39,18 +38,19 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 #include "rota/computation/cost_model.hpp"
 #include "rota/obs/metrics.hpp"
-#include "rota/plan/kernel.hpp"
+#include "rota/runtime/batch_controller.hpp"
 #include "rota/runtime/bounded_queue.hpp"
-#include "rota/runtime/thread_pool.hpp"
 #include "rota/service/codec.hpp"
 
 namespace rota::service {
 
 struct ServiceConfig {
-  std::size_t lanes = 2;                    // planning lanes (pool workers), >= 1
+  std::size_t lanes = 2;                    // planning threads, >= 1
   std::size_t queue_capacity = 64;          // admission queue bound
   std::uint64_t default_budget_us = 20'000; // budget when a request says 0
 };
@@ -68,20 +68,19 @@ class AdmissionService {
   AdmissionService(const AdmissionService&) = delete;
   AdmissionService& operator=(const AdmissionService&) = delete;
 
-  const ServiceConfig& config() const { return config_; }
-
-  /// Asynchronous admission: `done` is invoked exactly once, from a planning
-  /// lane (decision) or inline on the calling thread (shed on a full queue or
-  /// a stopping service). The planning-budget clock starts now — time spent
-  /// queued burns budget, so a request that waited past its budget is shed
-  /// instead of decided too late to matter.
+  /// Asynchronous admission: `done` is invoked exactly once, from the
+  /// dispatcher (decision) or inline on the calling thread (shed on a full
+  /// queue or a stopping service). The planning-budget clock starts now —
+  /// time spent queued burns budget, so a request that waited past its
+  /// budget is shed instead of decided too late to matter.
   void submit(AdmitRequest request, ResponseFn done);
 
   /// Synchronous admission (submit + wait); the test/bench convenience.
   AdmitResponse admit(AdmitRequest request);
 
   /// Clean shutdown: closes intake (later submits shed with kOverloaded),
-  /// drains every queued request to a response, joins the lanes. Idempotent.
+  /// drains every queued request to a response, joins the dispatcher and the
+  /// lanes. Idempotent.
   void drain_and_stop();
 
   /// Point-in-time copy of the service's own instruments.
@@ -91,17 +90,12 @@ class AdmissionService {
   obs::MetricsRegistry& metrics() { return metrics_; }
   std::size_t queue_depth() const { return queue_.depth(); }
 
-  /// The lanes' two ledger steps, each under ledger_mutex(). The federation
-  /// adapter (rota/service/federation.hpp) uses them too and, like a lane,
-  /// speculates between them outside the lock. capture() returns an owned,
-  /// hull- and shard-restricted copy: safe to plan against while a lane
-  /// commits, cheap to take.
-  FeasibilitySnapshot capture(const ConcurrentRequirement& rho, Tick now);
-  CommitStatus commit(const PlanResult& result, AdmissionDecision& decision);
-
+  /// What the service's rounds run on, for the federation's peer claims;
+  /// admit_round() on them requires ledger_mutex().
   CommitmentLedger& shared_ledger() { return ledger_; }
   std::mutex& ledger_mutex() { return ledger_mutex_; }
   PlanningKernel& planning_kernel() { return kernel_; }
+  ThreadPool& lanes() { return pool_; }
   const CostModel& phi() const { return phi_; }
 
  private:
@@ -110,6 +104,7 @@ class AdmissionService {
     ResponseFn done;
     CancellationToken token;
     std::chrono::steady_clock::time_point enqueued_at;
+    std::chrono::steady_clock::time_point taken_at;  // planning starts
   };
 
   /// Handles into metrics_, resolved once at construction.
@@ -121,8 +116,9 @@ class AdmissionService {
     obs::Histogram &planning_ns, &queue_ns;
   };
 
-  void lane_loop();
-  void serve(Pending pending);
+  void dispatch_loop();
+  /// Answers a settled request and counts its outcome.
+  void settle(const Pending& pending, const RoundOutcome& outcome);
   void respond(const Pending& pending, AdmitResponse response);
   CancellationToken budget_token(const AdmitRequest& request) const;
 
@@ -134,9 +130,9 @@ class AdmissionService {
   PlanningKernel kernel_;
   BoundedQueue<Pending> queue_;
   std::mutex ledger_mutex_;
-  ThreadPool pool_;  // lanes; joined by drain_and_stop() before teardown
-
+  ThreadPool pool_;  // the lanes - 1 helpers; shut down by drain_and_stop()
   std::atomic<bool> stopping_{false};
+  std::thread dispatcher_;  // last: started once everything it reads exists
 };
 
 }  // namespace rota::service

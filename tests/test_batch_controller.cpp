@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "rota/computation/actor_computation.hpp"
 #include "rota/computation/requirement.hpp"
 #include "rota/util/rng.hpp"
 #include "rota/workload/generator.hpp"
@@ -325,6 +326,83 @@ TEST(BatchControllerTest, StressManyLanesManyRequests) {
   const auto decisions = batch.admit_batch(requests);
   const auto expected = run_sequential(requests, phi, supply, PlanningPolicy::kAsap);
   expect_identical(expected, decisions, "stress");
+}
+
+// ---- the round itself --------------------------------------------------------
+
+/// One evaluate-3 job at `site`, window [start, deadline), as a request
+/// arriving at `at`.
+BatchRequest round_job(const std::string& name, const Location& site, Tick start,
+                       Tick deadline, Tick at) {
+  ActorComputationBuilder builder(name + "-actor", site);
+  builder.evaluate(3);
+  builder.ready();
+  return BatchRequest{
+      make_concurrent_requirement(
+          CostModel{}, DistributedComputation(name, {std::move(builder).build()},
+                                              start, deadline)),
+      at};
+}
+
+// A request whose planning budget ran out is settled without a commit, and
+// the requests behind it in the same round are still decided — exactly as the
+// sequential controller decides them without it.
+TEST(AdmitRoundTest, CancelledSlotIsSettledWithoutEndingTheRound) {
+  const Location a("round-a"), b("round-b"), c("round-c");
+  ResourceSet supply;
+  for (const Location& site : {a, b, c}) {
+    supply.add(10, TimeInterval(0, 100), LocatedType::cpu(site));
+  }
+  std::vector<BatchRequest> requests = {round_job("ja", a, 0, 60, 0),
+                                        round_job("jb", b, 0, 60, 0),
+                                        round_job("jc", c, 0, 60, 0)};
+  CancellationToken spent;
+  spent.cancel();
+  requests[1].budget = &spent;
+
+  CommitmentLedger ledger(supply, 0);
+  ThreadPool pool(2);
+  const std::vector<RoundOutcome> outcomes =
+      admit_round(PlanningKernel{}, ledger, pool, requests);
+  ASSERT_EQ(outcomes.size(), 3u) << "one round settles all three";
+  EXPECT_EQ(outcomes[1].planned, PlanStatus::kCancelled);
+  EXPECT_FALSE(outcomes[1].decision.accepted);
+  EXPECT_EQ(outcomes[1].decision.reason, "planning budget exhausted");
+
+  RotaAdmissionController referee(CostModel{}, supply);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    const AdmissionDecision expected = referee.request(requests[i].rho, 0);
+    ASSERT_TRUE(expected.accepted);
+    EXPECT_TRUE(outcomes[i].decision.accepted) << "request #" << i;
+    EXPECT_EQ(outcomes[i].decision.plan, expected.plan) << "request #" << i;
+  }
+  EXPECT_EQ(ledger.admitted_count(), 2u);
+  EXPECT_EQ(ledger.residual(), referee.ledger().residual());
+}
+
+// The round owns no expiry: once a commit has moved the clock, it ends before
+// a later slot whose window starts behind the clock, and the next round takes
+// that slot at its head.
+TEST(AdmitRoundTest, LateArrivalEndsTheRoundOnceTheClockMoved) {
+  const Location a("round-late-a"), b("round-late-b");
+  ResourceSet supply;
+  for (const Location& site : {a, b}) {
+    supply.add(10, TimeInterval(0, 100), LocatedType::cpu(site));
+  }
+  const std::vector<BatchRequest> requests = {round_job("on-time", a, 0, 60, 10),
+                                              round_job("late", b, 0, 60, 2)};
+  CommitmentLedger ledger(supply, 0);
+  ThreadPool pool(1);
+  const PlanningKernel kernel;
+  const std::vector<RoundOutcome> first = admit_round(kernel, ledger, pool, requests);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_TRUE(first[0].decision.accepted);
+  EXPECT_EQ(ledger.now(), 10);
+
+  const std::vector<RoundOutcome> second =
+      admit_round(kernel, ledger, pool, std::span(requests).subspan(1));
+  ASSERT_EQ(second.size(), 1u) << "at the head, the late slot is decided";
+  EXPECT_TRUE(second[0].decision.accepted);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // The admission service: codec, bounded queue, budget and queue-bound
 // shedding, clean drain, the socket round trip and its session lifecycle.
 //
-// The load-bearing checks: a one-lane service fed in arrival order decides
-// every request exactly as the sequential referee (RotaAdmissionController)
-// does; a full queue and an expired planning budget are answered with
-// kOverloaded — never silence; and a long-lived server frees each closed
-// session's descriptor and keeps accepting when descriptors run out. Runs in
-// rota_runtime_tests, so ThreadSanitizer covers the lanes/session
-// interleavings.
+// The load-bearing checks: a service fed in arrival order decides every
+// request exactly as the sequential referee (RotaAdmissionController) does,
+// at any lane count; a full queue and an expired planning budget are
+// answered with kOverloaded — never silence; and a long-lived server frees
+// each closed session's descriptor and keeps accepting when descriptors run
+// out. Runs in rota_runtime_tests, so ThreadSanitizer covers the
+// dispatcher/lanes/session interleavings.
 #include "rota/service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -169,60 +169,69 @@ TEST(BoundedQueueTest, CloseWakesConsumersAndDrainsAcceptedItems) {
 
 // ---- served path vs the sequential referee --------------------------------
 
-// With one lane, requests taken in arrival order and a budget no request
-// exhausts, the service is the sequential composition capture → speculate →
-// commit: every verdict and the final admission count must match the
-// sequential controller's on a ledger built from the same supply.
-TEST(ServiceParity, OneLaneServiceDecidesLikeTheSequentialReferee) {
-  for (const std::uint64_t seed : {31u, 32u, 33u}) {
-    WorkloadConfig wc;
-    wc.seed = seed;
-    wc.num_locations = 3;
-    wc.laxity = 1.5;           // tight windows: many rejections
-    wc.mean_interarrival = 2;  // dense arrivals: contended residual
-    WorkloadGenerator gen(wc, CostModel{});
-    const ResourceSet supply = gen.base_supply(TimeInterval(0, kHorizon));
-    const std::vector<Arrival> arrivals = gen.make_arrivals(kHorizon);
-    RotaAdmissionController referee(gen.phi(), supply);
-    CommitmentLedger ledger(supply);
-    ServiceConfig config;
-    config.lanes = 1;
-    AdmissionService svc(ledger, gen.phi(), config);
+// Requests submitted in arrival order from one thread, every one before any
+// answer is awaited, with a queue that holds them all and a budget no request
+// exhausts: the service decides in FCFS rounds, so at any lane count every
+// verdict and the final admission count must match the sequential
+// controller's on a ledger built from the same supply.
+TEST(ServiceParity, ServedDecisionsAreFcfsAtAnyLaneCount) {
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const std::uint64_t seed : {31u, 32u, 33u}) {
+      WorkloadConfig wc;
+      wc.seed = seed;
+      wc.num_locations = 3;
+      wc.laxity = 1.5;           // tight windows: many rejections
+      wc.mean_interarrival = 2;  // dense arrivals: contended residual
+      WorkloadGenerator gen(wc, CostModel{});
+      const ResourceSet supply = gen.base_supply(TimeInterval(0, kHorizon));
+      const std::vector<Arrival> arrivals = gen.make_arrivals(kHorizon);
+      RotaAdmissionController referee(gen.phi(), supply);
+      CommitmentLedger ledger(supply);
+      ServiceConfig config;
+      config.lanes = lanes;
+      config.queue_capacity = arrivals.size() + 1;
+      AdmissionService svc(ledger, gen.phi(), config);
 
-    std::size_t accepted = 0, mismatches = 0;
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      AdmitRequest request;
-      request.id = i + 1;
-      request.at = arrivals[i].at;
-      request.budget_us = 60'000'000;
-      request.computation = arrivals[i].computation;
-      const AdmitResponse served = svc.admit(std::move(request));
-      const AdmissionDecision expected =
-          referee.request(arrivals[i].computation, arrivals[i].at);
-      ASSERT_NE(served.verdict, Verdict::kOverloaded) << "seed " << seed << " #" << i;
-      if ((served.verdict == Verdict::kAccepted) != expected.accepted) {
-        ADD_FAILURE() << "seed " << seed << " request #" << i << ": served "
-                      << verdict_name(served.verdict) << ", referee "
-                      << (expected.accepted ? "accepted" : expected.reason);
-        ++mismatches;
+      std::vector<std::future<AdmitResponse>> answers;
+      answers.reserve(arrivals.size());
+      for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        AdmitRequest request;
+        request.id = i + 1;
+        request.at = arrivals[i].at;
+        request.budget_us = 60'000'000;
+        request.computation = arrivals[i].computation;
+        auto answer = std::make_shared<std::promise<AdmitResponse>>();
+        answers.push_back(answer->get_future());
+        svc.submit(std::move(request),
+                   [answer](const AdmitResponse& r) { answer->set_value(r); });
       }
-      accepted += expected.accepted;
+
+      std::size_t accepted = 0, mismatches = 0;
+      for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        const AdmitResponse served = answers[i].get();
+        const AdmissionDecision expected =
+            referee.request(arrivals[i].computation, arrivals[i].at);
+        ASSERT_NE(served.verdict, Verdict::kOverloaded)
+            << "lanes " << lanes << " seed " << seed << " #" << i;
+        if ((served.verdict == Verdict::kAccepted) != expected.accepted) ++mismatches;
+        accepted += expected.accepted;
+      }
+      svc.drain_and_stop();
+      EXPECT_EQ(mismatches, 0u) << "lanes " << lanes << " seed " << seed;
+      EXPECT_EQ(ledger.admitted_count(), referee.ledger().admitted_count())
+          << "lanes " << lanes << " seed " << seed;
+      // The workload must be contended, or parity proves little.
+      EXPECT_GT(accepted, 0u) << "seed " << seed;
+      EXPECT_LT(accepted, arrivals.size()) << "seed " << seed;
     }
-    svc.drain_and_stop();
-    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
-    EXPECT_EQ(ledger.admitted_count(), referee.ledger().admitted_count())
-        << "seed " << seed;
-    // The workload must be contended, or parity proves little.
-    EXPECT_GT(accepted, 0u) << "seed " << seed;
-    EXPECT_LT(accepted, arrivals.size()) << "seed " << seed;
   }
 }
 
 // ---- shedding & drain -----------------------------------------------------
 
 /// Waits until `submitted` requests have entered `svc` and left its queue.
-/// With the ledger mutex held by the caller, a lane that took one is blocked
-/// in capture(): this is how a test holds a lane mid-request.
+/// With the ledger mutex held by the caller, the dispatcher that took one is
+/// blocked before its round: this is how a test holds the service mid-round.
 void await_dequeued(const AdmissionService& svc, std::uint64_t submitted) {
   while (svc.stats().counter("service.requests") < submitted ||
          svc.queue_depth() != 0) {
@@ -247,7 +256,7 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
 
   std::unique_lock<std::mutex> held(svc.ledger_mutex());
   svc.submit(make_request(gen, 1, 0, /*budget_us=*/10'000'000), collect);
-  await_dequeued(svc, 1);                        // the single lane is held
+  await_dequeued(svc, 1);                        // the dispatcher is held
   svc.submit(make_request(gen, 2, 1), collect);  // fills the queue
   for (std::uint64_t id = 3; id <= 6; ++id) {    // these must shed inline
     svc.submit(make_request(gen, id, 2), collect);
@@ -268,8 +277,8 @@ TEST(ServiceShedding, QueueFullAnswersOverloadedImmediatelyNeverSilence) {
   EXPECT_EQ(svc.stats().counter("service.shed_queue"), 4u);
 }
 
-// A request that waits behind a held lane longer than its planning budget is
-// shed with kOverloaded when a lane reaches it — answered, not decided late.
+// A request that waits behind a held round longer than its planning budget is
+// shed with kOverloaded when a round reaches it — answered, not decided late.
 TEST(ServiceShedding, BudgetSpentInTheQueueShedsWithAReason) {
   WorkloadGenerator gen = make_generator(17);
   CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
@@ -283,7 +292,7 @@ TEST(ServiceShedding, BudgetSpentInTheQueueShedsWithAReason) {
   std::unique_lock<std::mutex> held(svc.ledger_mutex());
   svc.submit(make_request(gen, 1, 0, /*budget_us=*/10'000'000),
              [&first](const AdmitResponse& r) { first.set_value(r); });
-  await_dequeued(svc, 1);  // the single lane is held
+  await_dequeued(svc, 1);  // the dispatcher is held
   svc.submit(make_request(gen, 2, 1, /*budget_us=*/1'000),
              [&second](const AdmitResponse& r) { second.set_value(r); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));  // > its 1 ms budget
@@ -299,8 +308,8 @@ TEST(ServiceShedding, BudgetSpentInTheQueueShedsWithAReason) {
   EXPECT_EQ(svc.stats().counter("service.shed_budget"), 1u);
 }
 
-// Without a lane nothing would ever dequeue a submit: the service refuses to
-// be built rather than swallow requests.
+// `lanes` counts the threads that plan, the dispatcher included: zero is a
+// misconfiguration, refused at construction rather than silently rounded.
 TEST(ServiceConfigCheck, ZeroLanesIsRefusedAtConstruction) {
   WorkloadGenerator gen = make_generator(16);
   CommitmentLedger ledger(gen.base_supply(TimeInterval(0, kHorizon)));
