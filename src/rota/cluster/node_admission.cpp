@@ -32,7 +32,7 @@ PlanResult BatchNodeAdmission::probe(const ConcurrentRequirement& rho,
 
 AdmissionDecision BatchNodeAdmission::claim(const ConcurrentRequirement& rho,
                                             Tick now) {
-  return controller_->request(rho, now);
+  return std::move(controller_->admit_batch({BatchRequest{rho, now}}).front());
 }
 
 SupplyDigest BatchNodeAdmission::digest(Location site, Tick now,

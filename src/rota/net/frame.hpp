@@ -5,10 +5,11 @@
 // is a few lines and allocation-light) and leaves the payload free to be
 // text — the admission service's request/response codec (rota/service/codec)
 // and the cluster wire codec (rota/net/wire) both ride on it, so a service
-// client and a federation peer are the same kind of byte stream.
+// client and a federation peer are the same kind of byte stream. Every
+// socket reads frames through one function, net::read_frame
+// (rota/net/sockets.hpp), which feeds a FrameReader.
 //
-// This lived in rota/service/codec before the transport spine refactor;
-// service/codec re-exports these names, so existing includes keep working.
+// service/codec re-exports these names, so service code keeps its names.
 #pragma once
 
 #include <cstddef>

@@ -1,78 +1,14 @@
 #include "rota/net/socket_transport.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <stdexcept>
 #include <utility>
 
-#include "rota/net/sockets.hpp"
 #include "rota/net/wire.hpp"
 #include "rota/obs/obs.hpp"
 
 namespace rota::net {
-
-namespace {
-
-struct Address {
-  bool is_unix = false;
-  std::string path;
-  std::uint16_t port = 0;
-};
-
-Address parse_address(const std::string& spec) {
-  Address addr;
-  if (spec.rfind("unix:", 0) == 0) {
-    addr.is_unix = true;
-    addr.path = spec.substr(5);
-    if (addr.path.empty()) {
-      throw std::invalid_argument("empty unix socket path: " + spec);
-    }
-    return addr;
-  }
-  if (spec.rfind("tcp:", 0) == 0) {
-    const std::string digits = spec.substr(4);
-    if (digits.empty()) throw std::invalid_argument("empty tcp port: " + spec);
-    unsigned long port = 0;
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        throw std::invalid_argument("bad tcp port: " + spec);
-      }
-      port = port * 10 + static_cast<unsigned long>(c - '0');
-      if (port > 65535) throw std::invalid_argument("tcp port too large: " + spec);
-    }
-    addr.port = static_cast<std::uint16_t>(port);
-    return addr;
-  }
-  throw std::invalid_argument("address must be unix:<path> or tcp:<port>: " +
-                              spec);
-}
-
-/// Reads one complete frame off `fd` (bounded by the fd's recv timeout).
-/// False on EOF, error, timeout, or an over-long frame.
-bool read_one_frame(int fd, std::string& out) {
-  FrameReader reader;
-  char buf[4096];
-  for (;;) {
-    if (auto payload = reader.next()) {
-      out = std::move(*payload);
-      return true;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    try {
-      reader.feed(buf, static_cast<std::size_t>(n));
-    } catch (const CodecError&) {
-      return false;
-    }
-  }
-}
-
-}  // namespace
 
 SocketTransport::SocketTransport(SocketTransportConfig config)
     : config_(std::move(config)), start_(std::chrono::steady_clock::now()) {
@@ -83,18 +19,11 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
     throw std::invalid_argument("SocketTransport tick_ms must be positive");
   }
   for (const auto& [id, spec] : config_.peers) {
-    parse_address(spec);  // fail fast on malformed peer addresses
-    peers_[id] = Peer{spec, -1, {}};
+    peers_[id].address = parse_endpoint(spec);  // fail fast on malformed addresses
   }
   if (!config_.listen.empty()) {
-    const Address addr = parse_address(config_.listen);
-    if (addr.is_unix) {
-      listen_fd_ = make_unix_listener(addr.path);
-      listen_path_ = addr.path;
-    } else {
-      listen_fd_ = make_tcp_listener(addr.port, bound_port_);
-    }
-    accept_thread_ = std::thread([this] { accept_loop(); });
+    listener_.emplace(std::vector{parse_endpoint(config_.listen)},
+                      [this](const std::shared_ptr<Session>& s) { serve_peer(*s); });
   }
 }
 
@@ -122,23 +51,13 @@ int SocketTransport::peer_fd_locked(Peer& peer) {
   peer.next_attempt =
       now + std::chrono::milliseconds(config_.reconnect_backoff_ms);
 
-  const Address addr = parse_address(peer.address);
-  const int fd = addr.is_unix
-                     ? connect_unix_fd(addr.path, config_.connect_timeout_ms)
-                     : connect_tcp_fd(addr.port, config_.connect_timeout_ms);
-  if (fd < 0) return -1;
-
-  // Session open: hello, then wait (bounded) for the listener's verdict.
-  const std::string hello_frame =
-      frame(encode_hello(Hello{config_.local, config_.secret}));
-  set_recv_timeout(fd, config_.connect_timeout_ms);
-  std::string reply;
-  if (!send_all(fd, hello_frame.data(), hello_frame.size()) ||
-      !read_one_frame(fd, reply) || reply != "ok") {
-    ::close(fd);
-    return -1;
+  const Hello hello{config_.local, config_.secret};
+  try {
+    peer.fd = dial(peer.address, config_.connect_timeout_ms, &hello);
+  } catch (const std::exception&) {
+    return -1;  // unreachable, or the hello was refused
   }
-  peer.fd = fd;
+  const int fd = peer.fd;
   obs::count(obs::CoreMetrics::get().transport_connects);
 
   // Flush, in order, what queued while the peer was unreachable. A one-shot
@@ -200,92 +119,40 @@ std::vector<cluster::Message> SocketTransport::receive() {
   return std::exchange(inbox_, {});
 }
 
-void SocketTransport::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or broken): stop accepting
-    }
-
-    // The hello must arrive promptly; a silent connection is hung up on.
-    set_recv_timeout(fd, config_.connect_timeout_ms > 0
-                             ? config_.connect_timeout_ms
-                             : 1000);
-    std::string payload;
-    Hello hello;
-    bool ok = read_one_frame(fd, payload) && is_hello_payload(payload);
-    if (ok) {
-      try {
-        hello = decode_hello(payload);
-      } catch (const CodecError&) {
-        ok = false;
-      }
-    }
-    if (ok && !config_.secret.empty() && hello.token != config_.secret) {
-      const std::string err = frame("err unauthorized");
-      send_all(fd, err.data(), err.size());
-      obs::count(obs::CoreMetrics::get().transport_auth_failures);
-      ok = false;
-    }
-    if (!ok) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-      continue;
-    }
-    const std::string ack = frame("ok");
-    if (!send_all(fd, ack.data(), ack.size())) {
-      ::close(fd);
-      continue;
-    }
-    set_recv_timeout(fd, 0);  // the message stream blocks until close()
-
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    if (closed_) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-      return;
-    }
-    session_fds_.push_back(fd);
-    readers_.emplace_back([this, fd] { reader_loop(fd); });
+void SocketTransport::serve_peer(Session& session) {
+  // The hello must arrive promptly; a silent connection is hung up on.
+  session.set_read_timeout(config_.connect_timeout_ms > 0
+                               ? config_.connect_timeout_ms
+                               : 1000);
+  std::optional<Hello> hello;
+  try {
+    const std::optional<std::string> payload = session.read_frame();
+    if (payload && is_hello_payload(*payload)) hello = decode_hello(*payload);
+  } catch (const CodecError&) {
   }
-}
+  if (!hello) return;
+  if (!config_.secret.empty() && hello->token != config_.secret) {
+    session.send_frame("err unauthorized");
+    obs::count(obs::CoreMetrics::get().transport_auth_failures);
+    return;
+  }
+  if (!session.send_frame("ok")) return;
+  session.set_read_timeout(0);  // the message stream blocks until close()
 
-void SocketTransport::reader_loop(int fd) {
-  FrameReader reader;
-  char buf[4096];
-  for (;;) {
-    std::optional<std::string> payload;
-    try {
-      payload = reader.next();
-    } catch (const CodecError&) {
-      break;
-    }
-    if (payload) {
-      if (!is_message_payload(*payload)) break;  // protocol violation: hang up
-      try {
-        cluster::Message m = decode_message(*payload);
+  try {
+    while (const std::optional<std::string> payload = session.read_frame()) {
+      if (!is_message_payload(*payload)) return;  // protocol violation: hang up
+      cluster::Message m = decode_message(*payload);
+      {
         std::lock_guard<std::mutex> lock(inbox_mutex_);
         if (closed_) return;
         inbox_.push_back(std::move(m));
-      } catch (const CodecError&) {
-        break;
       }
       obs::count(obs::CoreMetrics::get().transport_received);
-      continue;
     }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // peer went away (or close() shut us down)
-    }
-    try {
-      reader.feed(buf, static_cast<std::size_t>(n));
-    } catch (const CodecError&) {
-      break;
-    }
+  } catch (const CodecError&) {
+    // A malformed frame: hang up.
   }
-  ::shutdown(fd, SHUT_RDWR);
 }
 
 void SocketTransport::close() {
@@ -294,31 +161,9 @@ void SocketTransport::close() {
     if (closed_) return;
     closed_ = true;
   }
-
-  // Stop accepting, then the accept thread can be joined.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (!listen_path_.empty()) ::unlink(listen_path_.c_str());
-
-  // Wake blocked readers, join them, then release their fds.
-  std::vector<std::thread> readers;
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
-    readers = std::move(readers_);
-    fds = std::move(session_fds_);
-    readers_.clear();
-    session_fds_.clear();
-  }
-  for (std::thread& t : readers) {
-    if (t.joinable()) t.join();
-  }
-  for (int fd : fds) ::close(fd);
+  // Stop accepting and wait for every inbound session to retire; each
+  // session's descriptor closes as its reader returns.
+  if (listener_) listener_->stop();
 
   std::lock_guard<std::mutex> lock(peers_mutex_);
   for (auto& [id, peer] : peers_) {

@@ -4,14 +4,20 @@
 // loopback TCP port, keeps one persistent outbound connection per configured
 // peer, and moves cluster::Message values as wire-encoded text payloads
 // (rota/net/wire.hpp) inside the admission service's length-prefixed frames
-// (rota/net/frame.hpp).
+// (rota/net/frame.hpp). Listening, dialing and framed reads are the socket
+// session layer the admission daemon's front door shares (rota/net/session.hpp,
+// rota/net/sockets.hpp); the transport adds only its session handler and its
+// outbound backlog.
 //
 // Session open: the connecting side sends `hello 1 <node_id> <token|->` as
-// its first frame. The listener checks the token when a shared secret is
-// configured — a wrong token is answered with a framed `err unauthorized`
-// and a hang-up (and counts transport.auth_failures); a good hello gets a
-// framed `ok` and the connection becomes a one-way message stream from that
-// peer.
+// its first frame. The listener reads it on the session's own thread within
+// `connect_timeout_ms` (a silent connection is hung up on and stalls no other
+// peer) and checks the token when a shared secret is configured — a wrong
+// token is answered with a framed `err unauthorized` and a hang-up (and
+// counts transport.auth_failures); a good hello gets a framed `ok` and the
+// connection becomes a one-way message stream from that peer. A peer that
+// closes its connection (say, to reconnect after a restart) retires its
+// session and gives its descriptor back.
 //
 // Loss model: sends are eager. A mid-write failure or a peer with no
 // configured address drops the message — the same first-class loss the
@@ -33,11 +39,11 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "rota/net/frame.hpp"
+#include "rota/net/session.hpp"
 #include "rota/net/transport.hpp"
 
 namespace rota::net {
@@ -57,7 +63,7 @@ struct SocketTransportConfig {
 
 class SocketTransport final : public Transport {
  public:
-  /// Binds the listener and starts the accept thread. Throws
+  /// Binds the listener and starts accepting. Throws
   /// std::system_error when the listen address cannot be bound and
   /// std::invalid_argument on a malformed config.
   explicit SocketTransport(SocketTransportConfig config);
@@ -73,11 +79,13 @@ class SocketTransport final : public Transport {
   void close() override;
 
   /// The TCP port actually bound (after "tcp:0"), or 0 for unix listeners.
-  std::uint16_t bound_port() const { return bound_port_; }
+  std::uint16_t bound_port() const {
+    return listener_ ? listener_->tcp_port() : 0;
+  }
 
  private:
   struct Peer {
-    std::string address;
+    Endpoint address;
     int fd = -1;
     std::chrono::steady_clock::time_point next_attempt{};  // backoff gate
     std::vector<std::string> backlog;  // framed bytes awaiting a connection
@@ -90,25 +98,20 @@ class SocketTransport final : public Transport {
   /// Queues a framed message for an unreachable peer, evicting the oldest
   /// frame beyond `backlog_frames`.
   void enqueue_locked(Peer& peer, std::string framed);
-  void accept_loop();
-  void reader_loop(int fd);
+  /// One inbound session: the hello, then the peer's message stream.
+  void serve_peer(Session& session);
 
   SocketTransportConfig config_;
   std::chrono::steady_clock::time_point start_;
-  std::uint16_t bound_port_ = 0;
-
-  int listen_fd_ = -1;
-  std::string listen_path_;  // unix socket file to unlink on close
-  std::thread accept_thread_;
 
   std::mutex peers_mutex_;  // guards peers_ (outbound side)
   std::map<cluster::NodeId, Peer> peers_;
 
-  std::mutex inbox_mutex_;  // guards inbox_, readers_, sessions_, closed_
+  std::mutex inbox_mutex_;  // guards inbox_, closed_
   std::vector<cluster::Message> inbox_;
-  std::vector<std::thread> readers_;
-  std::vector<int> session_fds_;  // accepted fds, shut down on close
   bool closed_ = false;
+
+  std::optional<SessionListener> listener_;  // last: its sessions use the above
 };
 
 }  // namespace rota::net

@@ -95,11 +95,6 @@ class BatchAdmissionController {
   /// after committing the requests ahead of it.
   std::vector<AdmissionDecision> admit_batch(const std::vector<BatchRequest>& requests);
 
-  /// Single-request path — identical to the sequential controller.
-  AdmissionDecision request(const ConcurrentRequirement& rho, Tick now) {
-    return kernel_.decide(ledger_, rho, now);
-  }
-
   /// Resource acquisition rule.
   void on_join(const ResourceSet& joined) { ledger_.join(joined); }
 

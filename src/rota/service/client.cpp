@@ -1,83 +1,42 @@
 #include "rota/service/client.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <stdexcept>
 #include <utility>
 
 #include "rota/cluster/message.hpp"
-#include "rota/net/sockets.hpp"
 #include "rota/net/wire.hpp"
 
 namespace rota::service {
 
-int ServiceClient::dial(Target target, const std::string& path,
-                        std::uint16_t port, const ClientOptions& options) {
-  const int fd =
-      target == Target::kUnix
-          ? net::connect_unix_fd(path, options.connect_timeout_ms)
-          : net::connect_tcp_fd(port, options.connect_timeout_ms);
-  if (fd < 0) {
-    net::throw_errno(target == Target::kUnix ? "connect(unix)" : "connect(tcp)");
-  }
-  if (!options.token.empty()) {
-    // Session open: hello, then a bounded wait for the server's verdict.
-    const std::string hello = frame(
-        net::encode_hello(net::Hello{cluster::kNoNode, options.token}));
-    net::set_recv_timeout(fd, options.connect_timeout_ms > 0
-                                  ? options.connect_timeout_ms
-                                  : 0);
-    bool ok = net::send_all(fd, hello.data(), hello.size());
-    std::string reply;
-    if (ok) {
-      FrameReader frames;
-      char buf[4096];
-      for (;;) {
-        if (auto payload = frames.next()) {
-          reply = *payload;
-          break;
-        }
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {
-          ok = false;
-          break;
-        }
-        frames.feed(buf, static_cast<std::size_t>(n));
-      }
-    }
-    if (!ok || reply != "ok") {
-      ::close(fd);
-      throw std::runtime_error(
-          reply.empty() ? "service handshake failed (no reply)"
-                        : "service refused session: " + reply);
-    }
-  }
-  net::set_recv_timeout(fd, options.read_timeout_ms > 0
-                                ? options.read_timeout_ms
-                                : 0);
+int ServiceClient::dial(const net::Endpoint& to, const ClientOptions& options) {
+  const net::Hello hello{cluster::kNoNode, options.token};
+  const int fd = net::dial(to, options.connect_timeout_ms,
+                           options.token.empty() ? nullptr : &hello);
+  net::set_recv_timeout(fd, std::max(options.read_timeout_ms, 0));
   return fd;
 }
 
 ServiceClient ServiceClient::connect_unix(const std::string& path,
                                           ClientOptions options) {
-  const int fd = dial(Target::kUnix, path, 0, options);
-  return ServiceClient(fd, Target::kUnix, path, 0, std::move(options));
+  net::Endpoint to{path, 0};
+  const int fd = dial(to, options);
+  return ServiceClient(fd, std::move(to), std::move(options));
 }
 
 ServiceClient ServiceClient::connect_tcp(std::uint16_t port,
                                          ClientOptions options) {
-  const int fd = dial(Target::kTcp, {}, port, options);
-  return ServiceClient(fd, Target::kTcp, {}, port, std::move(options));
+  net::Endpoint to{"", port};
+  const int fd = dial(to, options);
+  return ServiceClient(fd, std::move(to), std::move(options));
 }
 
 ServiceClient::ServiceClient(ServiceClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      target_(other.target_),
-      path_(std::move(other.path_)),
-      port_(other.port_),
+      endpoint_(std::move(other.endpoint_)),
       options_(std::move(other.options_)),
       reconnects_(other.reconnects_),
       frames_(std::move(other.frames_)) {}
@@ -86,9 +45,7 @@ ServiceClient& ServiceClient::operator=(ServiceClient&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    target_ = other.target_;
-    path_ = std::move(other.path_);
-    port_ = other.port_;
+    endpoint_ = std::move(other.endpoint_);
     options_ = std::move(other.options_);
     reconnects_ = other.reconnects_;
     frames_ = std::move(other.frames_);
@@ -116,7 +73,7 @@ void ServiceClient::send(const AdmitRequest& request) {
   // Responses pipelined on the old connection are lost with it.
   ::close(fd_);
   fd_ = -1;
-  fd_ = dial(target_, path_, port_, options_);  // throws when the re-dial fails
+  fd_ = dial(endpoint_, options_);  // throws when the re-dial fails
   frames_ = FrameReader();  // a partial frame from the dead socket is garbage
   ++reconnects_;
   if (!net::send_all(fd_, bytes.data(), bytes.size())) net::throw_errno("send");
@@ -124,17 +81,9 @@ void ServiceClient::send(const AdmitRequest& request) {
 
 std::optional<AdmitResponse> ServiceClient::receive() {
   if (fd_ < 0) return std::nullopt;
-  for (;;) {
-    if (auto payload = frames_.next()) {
-      return parse_response(*payload);
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) net::throw_errno("recv");  // EAGAIN here means the read timeout
-    if (n == 0) return std::nullopt;      // clean EOF
-    frames_.feed(buf, static_cast<std::size_t>(n));
-  }
+  if (auto payload = net::read_frame(fd_, frames_)) return parse_response(*payload);
+  if (errno != 0) net::throw_errno("recv");  // EAGAIN here means the read timeout
+  return std::nullopt;                       // clean EOF
 }
 
 AdmitResponse ServiceClient::call(const AdmitRequest& request) {

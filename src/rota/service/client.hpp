@@ -1,9 +1,11 @@
 // ServiceClient: a blocking connection to the admission daemon.
 //
-// One socket, framed with the same codec the server speaks. send() may be
-// pipelined (many requests in flight); receive() yields decisions in the
-// order the server made them, which is not necessarily submission order —
-// correlate by id. call() is the one-in-flight convenience that does.
+// One socket, dialed and read through the socket session layer the server
+// and the peer transport share (rota/net/sockets.hpp: one dial-and-hello,
+// one framed read). send() may be pipelined (many requests in flight);
+// receive() yields decisions in the order the server made them, which is
+// not necessarily submission order — correlate by id. call() is the
+// one-in-flight convenience that does.
 //
 // ClientOptions bounds the blocking: connect_timeout_ms caps the dial (and
 // the hello handshake when a token is set), read_timeout_ms caps every
@@ -17,6 +19,7 @@
 #include <optional>
 #include <string>
 
+#include "rota/net/sockets.hpp"
 #include "rota/service/codec.hpp"
 
 namespace rota::service {
@@ -65,25 +68,15 @@ class ServiceClient {
   void close();
 
  private:
-  enum class Target { kUnix, kTcp };
+  ServiceClient(int fd, net::Endpoint endpoint, ClientOptions options)
+      : fd_(fd), endpoint_(std::move(endpoint)), options_(std::move(options)) {}
 
-  ServiceClient(int fd, Target target, std::string path, std::uint16_t port,
-                ClientOptions options)
-      : fd_(fd),
-        target_(target),
-        path_(std::move(path)),
-        port_(port),
-        options_(std::move(options)) {}
-
-  /// Dials target_, runs the hello handshake, applies the read timeout.
-  /// Returns the connected fd; throws like the factories.
-  static int dial(Target target, const std::string& path, std::uint16_t port,
-                  const ClientOptions& options);
+  /// Dials `to`, runs the hello handshake when a token is set, applies the
+  /// read timeout. Returns the connected fd; throws like the factories.
+  static int dial(const net::Endpoint& to, const ClientOptions& options);
 
   int fd_ = -1;
-  Target target_ = Target::kUnix;
-  std::string path_;
-  std::uint16_t port_ = 0;
+  net::Endpoint endpoint_;
   ClientOptions options_;
   std::size_t reconnects_ = 0;
   FrameReader frames_;

@@ -1,16 +1,17 @@
 // ServiceServer: the socket front end of the admission daemon.
 //
-// Listens on a Unix-domain socket (and optionally loopback TCP), reassembles
-// length-prefixed frames per connection, parses admit requests, and submits
-// them to an AdmissionService. Decisions stream back on the same connection
-// as they are made — possibly out of submission order (a shed or invalid
-// request is answered at once, a forwarded one when a peer decides); the
-// client correlates by request id. Each session serializes its writes
-// behind a mutex, so the dispatcher, the federation pump and inline sheds
-// answering one connection never interleave frames.
+// Listens on a Unix-domain socket (and optionally loopback TCP) through the
+// socket session layer it shares with the federation's peer transport
+// (rota/net/session.hpp): one reader thread per connection reads its frames,
+// parses admit requests, and submits them to an AdmissionService. Decisions
+// stream back on the same connection as they are made — possibly out of
+// submission order (a shed or invalid request is answered at once, a
+// forwarded one when a peer decides); the client correlates by request id.
+// Writes to one session never interleave, so the dispatcher, the federation
+// pump and inline sheds answering one connection never mix frames.
 //
 // A session whose reader has exited (the peer closed, or a protocol error
-// hung it up) retires: the server forgets it and joins its reader at the
+// hung it up) retires: the listener forgets it and joins its reader at the
 // next accept, so a long-lived daemon holds descriptors only for live
 // connections and decisions still owed. When accept() runs out of
 // descriptors anyway, the acceptor backs off and keeps listening rather than
@@ -19,20 +20,18 @@
 // stop() is the clean-shutdown path the daemon's SIGINT/SIGTERM handler
 // drives: (1) stop accepting connections, (2) half-close every session for
 // reading so no new requests enter, (3) drain the service — every request
-// already queued still gets its response written, (4) close the sockets and
-// join. Nothing admitted is abandoned; nothing new sneaks in.
+// already queued still gets its response written, (4) each socket closes
+// with its last owed decision. Nothing admitted is abandoned; nothing new
+// sneaks in.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "rota/net/session.hpp"
 #include "rota/service/service.hpp"
 
 namespace rota::service {
@@ -65,41 +64,23 @@ class ServiceServer {
 
   const std::string& unix_path() const { return config_.unix_path; }
   /// The actually-bound TCP port (resolves an ephemeral request); 0 if none.
-  std::uint16_t tcp_port() const { return bound_tcp_port_; }
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
 
-  std::size_t sessions_accepted() const {
-    return sessions_accepted_.load(std::memory_order_relaxed);
-  }
+  std::size_t sessions_accepted() const { return listener_.sessions_accepted(); }
 
   /// Clean drain, per the header comment. Idempotent; the destructor calls it.
   void stop();
 
  private:
-  struct Session;
-
-  void accept_loop(int listen_fd);
-  void start_session(int fd);
-  void read_requests(const std::shared_ptr<Session>& session);
-  /// The reader's last act: unlists its session, parks its thread to join.
-  void retire(const std::shared_ptr<Session>& session);
-  void join_exited_readers();
+  /// One session's reader: frames in, requests submitted, until EOF or a
+  /// protocol error.
+  void serve(const std::shared_ptr<net::Session>& session);
 
   AdmissionService& service_;
   ServerConfig config_;
   SubmitFn submit_;
-  std::uint16_t bound_tcp_port_ = 0;
-
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  std::vector<std::thread> acceptors_;
-
-  std::mutex sessions_mutex_;
-  std::condition_variable sessions_cv_;               // a session retired
-  std::vector<std::shared_ptr<Session>> sessions_;    // readers still running
-  std::vector<std::thread> exited_readers_;           // retired, to join
-  std::atomic<std::size_t> sessions_accepted_{0};
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
+  net::SessionListener listener_;  // last: its sessions use the above
 };
 
 }  // namespace rota::service

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -23,7 +22,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -34,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "fd_helpers.hpp"
 #include "rota/admission/controller.hpp"
 #include "rota/obs/obs.hpp"
 #include "rota/runtime/bounded_queue.hpp"
@@ -585,14 +584,8 @@ TEST(ServiceSocket, StopDrainsInFlightRequestsBeforeClosing) {
 
 // ---- session lifecycle ----------------------------------------------------
 
-std::size_t open_fds() {
-  std::size_t n = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/fd")) {
-    ++n;
-  }
-  return n;
-}
+using rota::testing::open_fds;
+using rota::testing::ScopedFdLimit;
 
 /// One short session: connect, one round trip, close. False when the server
 /// did not answer it (the dial failed, or nothing came back in time).
@@ -608,25 +601,6 @@ bool short_session(const std::string& path, WorkloadGenerator& gen, std::uint64_
     return false;
   }
 }
-
-/// Lowers this process's soft descriptor limit for one scope.
-class ScopedFdLimit {
- public:
-  explicit ScopedFdLimit(rlim_t soft) {
-    ::getrlimit(RLIMIT_NOFILE, &saved_);
-    rlimit lowered = saved_;
-    lowered.rlim_cur = soft;
-    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
-  }
-  ~ScopedFdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
-  ScopedFdLimit(const ScopedFdLimit&) = delete;
-  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
-  bool ok() const { return ok_; }
-
- private:
-  rlimit saved_{};
-  bool ok_ = false;
-};
 
 // A daemon that serves many short-lived clients must not keep their sockets:
 // once a client has closed and been answered, its descriptor is given back.

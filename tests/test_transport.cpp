@@ -1,8 +1,11 @@
 // The transport spine: versioned wire codec round-trips, QueueTransport
 // semantics, and SocketTransport over real unix sockets (handshake, auth
-// refusal, message flow, backlog-until-reachable, clean close).
+// refusal, message flow, backlog-until-reachable, clean close) and its
+// session lifecycle under peer churn (reaping, descriptor exhaustion, a
+// silent connection).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -11,7 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "fd_helpers.hpp"
 #include "rota/net/socket_transport.hpp"
+#include "rota/net/sockets.hpp"
 #include "rota/net/transport.hpp"
 #include "rota/net/wire.hpp"
 
@@ -320,6 +325,120 @@ TEST(SocketTransport, CloseIsIdempotentAndStopsDelivery) {
   t.close();
   t.close();
   EXPECT_TRUE(t.receive().empty());
+}
+
+// ---- session lifecycle under peer churn ------------------------------------
+
+using rota::testing::open_fds;
+using rota::testing::ScopedFdLimit;
+
+/// A peer that dials `listen_path` as node `id` and sends one probe.
+void send_one_probe(const std::string& listen_path, cluster::NodeId id) {
+  SocketTransportConfig c;
+  c.local = id;
+  c.peers[0] = "unix:" + listen_path;
+  c.connect_timeout_ms = 2000;
+  SocketTransport peer(c);
+  Message m = probe_message();
+  m.from = id;
+  m.to = 0;
+  m.job = id;
+  peer.send(m);
+  peer.close();
+}
+
+SocketTransportConfig listener_config(const std::string& path) {
+  SocketTransportConfig c;
+  c.local = 0;
+  c.listen = "unix:" + path;
+  return c;
+}
+
+// Peers come and go (a restart reconnects): once a peer has closed, the
+// session it opened gives its descriptor back.
+TEST(SocketTransport, ReconnectingPeersGiveBackTheirDescriptors) {
+  const std::string path = temp_socket_path("reap");
+  SocketTransport listener(listener_config(path));
+
+  const std::size_t before = open_fds();
+  for (cluster::NodeId id = 1; id <= 100; ++id) {
+    send_one_probe(path, id);
+    const std::vector<Message> got = await_messages(listener, 1);
+    ASSERT_EQ(got.size(), 1u) << "peer " << id;
+    EXPECT_EQ(got[0].from, id);
+  }
+  // The last reader or two may still be retiring; a leak keeps all 100.
+  for (int spin = 0; spin < 100 && open_fds() > before + 8; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(open_fds(), before + 8);
+  listener.close();
+}
+
+// After accept() has failed with EMFILE, a peer that connects once
+// descriptors free up is still served: the acceptor never goes silent.
+TEST(SocketTransport, AcceptorOutlivesTheDescriptorLimit) {
+  const std::string path = temp_socket_path("emfile");
+  SocketTransport listener(listener_config(path));
+  send_one_probe(path, 1);  // the acceptor is up and back in accept()
+  ASSERT_EQ(await_messages(listener, 1).size(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  ScopedFdLimit scoped(open_fds() + 16);
+  ASSERT_TRUE(scoped.ok());
+  // Fill the table but for one slot. The acceptor blocked in accept()
+  // already holds a descriptor for its next connection, so the first peer
+  // takes the free slot and is still accepted; the acceptor's next accept()
+  // then fails with EMFILE for as long as the table stays full.
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) fillers.push_back(fd);
+  ASSERT_FALSE(fillers.empty());
+  ::close(fillers.back());
+  fillers.pop_back();
+  send_one_probe(path, 2);
+  EXPECT_EQ(await_messages(listener, 1).size(), 1u)
+      << "the peer on the last free descriptor";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // EMFILE spins
+
+  for (const int fd : fillers) ::close(fd);
+  send_one_probe(path, 3);
+  const std::vector<Message> got = await_messages(listener, 1);
+  ASSERT_EQ(got.size(), 1u)
+      << "the acceptor went silent after running out of descriptors";
+  EXPECT_EQ(got[0].from, 3u);
+  listener.close();
+}
+
+// The hello is read on the session's own thread: a connection that never
+// sends one delays no other peer, even under a long hello timeout.
+TEST(SocketTransport, SilentConnectionDoesNotStallOtherPeers) {
+  const std::string path = temp_socket_path("silent");
+  SocketTransportConfig c = listener_config(path);
+  c.connect_timeout_ms = 2000;
+  SocketTransport listener(c);
+
+  const int silent = dial(Endpoint{path, 0}, 1000);  // no hello, ever
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // accepted
+
+  SocketTransportConfig pc;
+  pc.local = 1;
+  pc.peers[0] = "unix:" + path;
+  SocketTransport peer(pc);
+  const auto start = std::chrono::steady_clock::now();
+  Message m = probe_message();
+  m.from = 1;
+  m.to = 0;
+  peer.send(m);
+  std::vector<Message> got;
+  while (got.empty() && std::chrono::steady_clock::now() - start <
+                            std::chrono::seconds(1)) {
+    got = listener.receive();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(got.size(), 1u) << "a silent connection stalled another peer";
+  ::close(silent);
+  peer.close();
+  listener.close();
 }
 
 }  // namespace
