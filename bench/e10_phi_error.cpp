@@ -11,7 +11,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "rota/admission/baselines.hpp"
+#include "rota/admission/controller.hpp"
 #include "rota/sim/simulator.hpp"
 #include "rota/util/table.hpp"
 #include "rota/workload/generator.hpp"
@@ -60,7 +60,7 @@ PhiErrorResult run_with_error(double epsilon, double margin, std::uint64_t seed)
   const CostModel estimate(scaled_parameters(margin));
   const CostModel truth(scaled_parameters(epsilon));
 
-  RotaStrategy rota(estimate, supply);
+  RotaAdmissionController rota(estimate, supply);
   // Execution must be work-conserving: plans sized by the estimate cannot
   // drain inflated true demands, so the executor shares supply greedily.
   Simulator sim(supply, 0, ExecutionMode::kWorkConserving, PriorityOrder::kEdf);

@@ -80,14 +80,14 @@ void print_assurance_sweep() {
     const std::vector<Entry> entries = {
         {"rota-asap (plan-following)",
          [](const ResourceSet& s) {
-           return std::make_unique<RotaStrategy>(CostModel(), s,
-                                                 PlanningPolicy::kAsap);
+           return std::make_unique<RotaAdmissionController>(
+               CostModel(), s, PlanningPolicy::kAsap);
          },
          ExecutionMode::kPlanFollowing},
         {"rota-asap (edf executor)",
          [](const ResourceSet& s) {
-           return std::make_unique<RotaStrategy>(CostModel(), s,
-                                                 PlanningPolicy::kAsap);
+           return std::make_unique<RotaAdmissionController>(
+               CostModel(), s, PlanningPolicy::kAsap);
          },
          ExecutionMode::kWorkConserving},
         {"naive-total",
@@ -126,7 +126,7 @@ void BM_AdmitAndSimulate(benchmark::State& state) {
     probe.cpu_rate = 8;
     probe.network_rate = 8;
     WorkloadGenerator gen(probe, CostModel());
-    RotaStrategy rota(CostModel(), gen.base_supply(TimeInterval(0, 800)));
+    RotaAdmissionController rota(CostModel(), gen.base_supply(TimeInterval(0, 800)));
     benchmark::DoNotOptimize(
         run_once(rota, ExecutionMode::kPlanFollowing, 6.0, 405));
   }

@@ -64,7 +64,7 @@ void print_acceptance_sweep() {
     WorkloadGenerator probe_gen(probe, CostModel());
     const ResourceSet supply = probe_gen.base_supply(TimeInterval(0, 700));
 
-    RotaStrategy rota(CostModel(), supply);
+    RotaAdmissionController rota(CostModel(), supply);
     NaiveTotalQuantityStrategy naive(CostModel(), supply);
     AlwaysAdmitStrategy always;
 
@@ -100,7 +100,7 @@ void BM_AcceptanceSweepPoint(benchmark::State& state) {
     probe.cpu_rate = 8;
     probe.network_rate = 8;
     WorkloadGenerator gen(probe, CostModel());
-    RotaStrategy rota(CostModel(), gen.base_supply(TimeInterval(0, 700)));
+    RotaAdmissionController rota(CostModel(), gen.base_supply(TimeInterval(0, 700)));
     benchmark::DoNotOptimize(
         offered_load(rota, ExecutionMode::kPlanFollowing, 8.0, 516));
   }

@@ -10,7 +10,7 @@
 #include <iostream>
 #include <numeric>
 
-#include "rota/admission/baselines.hpp"
+#include "rota/admission/controller.hpp"
 #include "rota/sim/simulator.hpp"
 #include "rota/util/table.hpp"
 #include "rota/workload/generator.hpp"
@@ -39,7 +39,7 @@ void print_policy_ablation() {
     WorkloadGenerator gen = make_generator(707);
     const Tick horizon = 700;
     const ResourceSet supply = gen.base_supply(TimeInterval(0, horizon));
-    RotaStrategy rota(gen.phi(), supply, policy);
+    RotaAdmissionController rota(gen.phi(), supply, policy);
     Simulator sim(supply, 0, ExecutionMode::kPlanFollowing);
 
     const auto arrivals = gen.make_arrivals(horizon * 2 / 3);
@@ -113,7 +113,7 @@ void print_executor_ablation() {
     WorkloadGenerator gen = make_generator(727);
     const Tick horizon = 700;
     const ResourceSet supply = gen.base_supply(TimeInterval(0, horizon));
-    RotaStrategy rota(gen.phi(), supply);
+    RotaAdmissionController rota(gen.phi(), supply);
     Simulator sim(supply, 0, m.mode, m.order);
     std::size_t admitted = 0;
     for (const Arrival& a : gen.make_arrivals(horizon * 2 / 3)) {

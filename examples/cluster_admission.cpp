@@ -51,10 +51,10 @@ int main() {
                    util::fixed(report.utilization(), 3)});
   };
 
-  RotaStrategy rota(generator.phi(), supply);
+  RotaAdmissionController rota(generator.phi(), supply);
   evaluate(rota, ExecutionMode::kPlanFollowing);
 
-  RotaStrategy rota_edf(generator.phi(), supply);
+  RotaAdmissionController rota_edf(generator.phi(), supply);
   evaluate(rota_edf, ExecutionMode::kWorkConserving);
 
   NaiveTotalQuantityStrategy naive(generator.phi(), supply);

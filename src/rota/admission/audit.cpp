@@ -99,16 +99,4 @@ std::string AuditLog::to_string() const {
   return out.str();
 }
 
-AdmissionDecision AuditedController::request(const DistributedComputation& lambda,
-                                             Tick now) {
-  return request(make_concurrent_requirement(controller_.phi(), lambda), now);
-}
-
-AdmissionDecision AuditedController::request(const ConcurrentRequirement& rho,
-                                             Tick now) {
-  AdmissionDecision decision = controller_.request(rho, now);
-  log_.record(now, rho, decision);
-  return decision;
-}
-
 }  // namespace rota

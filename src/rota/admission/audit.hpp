@@ -77,25 +77,4 @@ class AuditLog {
   std::size_t total_accepted_ = 0;
 };
 
-/// Convenience wrapper: a controller plus its audit trail.
-class AuditedController {
- public:
-  AuditedController(CostModel phi, ResourceSet supply,
-                    PlanningPolicy policy = PlanningPolicy::kAsap,
-                    std::size_t audit_capacity = 4096)
-      : controller_(std::move(phi), std::move(supply), policy),
-        log_(audit_capacity) {}
-
-  AdmissionDecision request(const DistributedComputation& lambda, Tick now);
-  AdmissionDecision request(const ConcurrentRequirement& rho, Tick now);
-  void on_join(const ResourceSet& joined) { controller_.on_join(joined); }
-
-  const RotaAdmissionController& controller() const { return controller_; }
-  const AuditLog& log() const { return log_; }
-
- private:
-  RotaAdmissionController controller_;
-  AuditLog log_;
-};
-
 }  // namespace rota

@@ -7,9 +7,11 @@
 // admissions — the deadline assurance the paper is after. The controller
 // itself is a thin wrapper: the accept/reject semantics live entirely in
 // rota/plan/ (one audited code path shared by every admission surface).
+//
+// The controller is also the Theorem-4 AdmissionStrategy the §VI benchmarks
+// drive next to the baselines (rota/admission/baselines.hpp).
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "rota/admission/ledger.hpp"
@@ -18,7 +20,19 @@
 
 namespace rota {
 
-class RotaAdmissionController {
+/// Uniform interface the benchmark harness drives. Implementations decide
+/// admission only; execution outcomes come from the simulator.
+class AdmissionStrategy {
+ public:
+  virtual ~AdmissionStrategy() = default;
+
+  virtual std::string name() const = 0;
+  virtual AdmissionDecision request(const DistributedComputation& lambda, Tick now) = 0;
+  virtual void on_join(const ResourceSet& joined) = 0;
+};
+
+/// Theorem-4 admission (sound: admitted computations carry feasible plans).
+class RotaAdmissionController final : public AdmissionStrategy {
  public:
   RotaAdmissionController(CostModel phi, ResourceSet initial_supply,
                           PlanningPolicy policy = PlanningPolicy::kAsap,
@@ -29,25 +43,18 @@ class RotaAdmissionController {
 
   /// Decides (Λ, s, d) at time `now`. Advances the ledger clock and expires
   /// supply before it (PlanningKernel::decide).
-  AdmissionDecision request(const DistributedComputation& lambda, Tick now);
+  AdmissionDecision request(const DistributedComputation& lambda, Tick now) override;
 
   /// Decides an already-derived requirement (for callers with their own Φ).
   AdmissionDecision request(const ConcurrentRequirement& rho, Tick now) {
     return kernel_.decide(ledger_, rho, now);
   }
 
-  /// Commits a speculation produced against a snapshot of this controller's
-  /// ledger; nullopt when the speculation went stale (re-speculate).
-  std::optional<AdmissionDecision> commit(const PlanResult& result) {
-    AdmissionDecision decision;
-    if (kernel_.commit(result, ledger_, decision) != CommitStatus::kCommitted) {
-      return std::nullopt;
-    }
-    return decision;
-  }
+  /// "rota-<policy>" (e.g. "rota-asap"): the label the §VI tables print.
+  std::string name() const override { return "rota-" + policy_name(policy()); }
 
   /// Resource acquisition rule.
-  void on_join(const ResourceSet& joined) { ledger_.join(joined); }
+  void on_join(const ResourceSet& joined) override { ledger_.join(joined); }
 
   /// Computation leave rule (only before the computation starts).
   bool release(const std::string& name) { return ledger_.release(name); }

@@ -1,8 +1,45 @@
 #include "rota/net/frame.hpp"
 
-#include <cstdint>
+#include <charconv>
 
 namespace rota::net {
+
+namespace {
+
+template <typename Int>
+Int parse_int(std::string_view token, const char* what) {
+  Int value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc() || ptr != token.data() + token.size()) {
+    throw CodecError(std::string("malformed ") + what + ": '" +
+                     std::string(token) + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
+std::vector<std::string_view> tokens_of(std::string_view line) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && line[i] == ' ') ++i;
+    std::size_t j = i;
+    while (j < line.size() && line[j] != ' ') ++j;
+    if (j > i) out.push_back(line.substr(i, j - i));
+    i = j;
+  }
+  return out;
+}
+
+std::uint64_t parse_u64(std::string_view token, const char* what) {
+  return parse_int<std::uint64_t>(token, what);
+}
+
+std::int64_t parse_i64(std::string_view token, const char* what) {
+  return parse_int<std::int64_t>(token, what);
+}
 
 std::string frame(std::string_view payload) {
   if (payload.size() > kMaxFramePayload) {

@@ -7,16 +7,20 @@
 // and the cluster wire codec (rota/net/wire) both ride on it, so a service
 // client and a federation peer are the same kind of byte stream. Every
 // socket reads frames through one function, net::read_frame
-// (rota/net/sockets.hpp), which feeds a FrameReader.
+// (rota/net/sockets.hpp), which feeds a FrameReader. Both payload codecs
+// split and parse their text lines with the token helpers below.
 //
-// service/codec re-exports these names, so service code keeps its names.
+// service/codec re-exports the framing names, so service code keeps its
+// names.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace rota::net {
 
@@ -29,6 +33,14 @@ class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& message) : std::runtime_error(message) {}
 };
+
+/// The space-separated tokens of one payload line (runs of spaces collapse).
+std::vector<std::string_view> tokens_of(std::string_view line);
+
+/// A whole token as a decimal integer; throws
+/// CodecError("malformed <what>: '<token>'").
+std::uint64_t parse_u64(std::string_view token, const char* what);
+std::int64_t parse_i64(std::string_view token, const char* what);
 
 /// Wraps a payload in a length-prefixed frame.
 std::string frame(std::string_view payload);

@@ -91,21 +91,22 @@ void SocketTransport::send(cluster::Message m) {
     return;
   }
 
-  std::lock_guard<std::mutex> lock(peers_mutex_);
   auto it = peers_.find(m.to);
   if (it == peers_.end()) {
     obs::count(obs::CoreMetrics::get().transport_dropped);
     return;
   }
-  const int fd = peer_fd_locked(it->second);
+  Peer& peer = it->second;
+  std::lock_guard<std::mutex> lock(peer.mutex);
+  const int fd = peer_fd_locked(peer);
   if (fd < 0) {
-    enqueue_locked(it->second, std::move(framed));
+    enqueue_locked(peer, std::move(framed));
     return;
   }
   if (!send_all(fd, framed.data(), framed.size())) {
     ::close(fd);
-    it->second.fd = -1;
-    it->second.next_attempt =
+    peer.fd = -1;
+    peer.next_attempt =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(config_.reconnect_backoff_ms);
     obs::count(obs::CoreMetrics::get().transport_dropped);
@@ -165,8 +166,8 @@ void SocketTransport::close() {
   // session's descriptor closes as its reader returns.
   if (listener_) listener_->stop();
 
-  std::lock_guard<std::mutex> lock(peers_mutex_);
   for (auto& [id, peer] : peers_) {
+    std::lock_guard<std::mutex> lock(peer.mutex);
     if (peer.fd >= 0) {
       ::close(peer.fd);
       peer.fd = -1;

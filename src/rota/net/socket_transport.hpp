@@ -30,6 +30,13 @@
 // protocol's probe/claim timeouts and retries remain the recovery story for
 // everything past that bounded buffer, identical on both substrates.
 //
+// Locking: each peer's outbound side has its own mutex, so a send that
+// waits out one peer's dial and hello (up to `connect_timeout_ms` when the
+// peer accepts but never answers) holds up only later sends to that peer.
+// Callers that serialize their own sends still wait: FederatedService sends
+// under its own mutex, so its pump thread still waits out a mute peer's
+// dial.
+//
 // Time: now() is (steady_clock - start) / tick_ms. Drivers poll
 // receive()/now() on their own cadence; arrival order within a peer is
 // stream order, across peers it is lock-acquisition order.
@@ -85,15 +92,16 @@ class SocketTransport final : public Transport {
 
  private:
   struct Peer {
+    std::mutex mutex;  // guards fd, next_attempt and backlog
     Endpoint address;
     int fd = -1;
     std::chrono::steady_clock::time_point next_attempt{};  // backoff gate
     std::vector<std::string> backlog;  // framed bytes awaiting a connection
   };
 
-  /// Returns a connected, hello'd fd for `peer`, (re)connecting if the
-  /// backoff allows and flushing the peer's backlog after a reconnect; -1
-  /// when the peer is unreachable right now.
+  /// Returns a connected, hello'd fd for `peer` (its mutex held),
+  /// (re)connecting if the backoff allows and flushing the peer's backlog
+  /// after a reconnect; -1 when the peer is unreachable right now.
   int peer_fd_locked(Peer& peer);
   /// Queues a framed message for an unreachable peer, evicting the oldest
   /// frame beyond `backlog_frames`.
@@ -104,8 +112,7 @@ class SocketTransport final : public Transport {
   SocketTransportConfig config_;
   std::chrono::steady_clock::time_point start_;
 
-  std::mutex peers_mutex_;  // guards peers_ (outbound side)
-  std::map<cluster::NodeId, Peer> peers_;
+  std::map<cluster::NodeId, Peer> peers_;  // shape fixed by the constructor
 
   std::mutex inbox_mutex_;  // guards inbox_, closed_
   std::vector<cluster::Message> inbox_;

@@ -1,6 +1,5 @@
 #include "rota/net/wire.hpp"
 
-#include <charconv>
 #include <sstream>
 #include <vector>
 
@@ -11,41 +10,6 @@ namespace {
 using cluster::Message;
 using cluster::MsgKind;
 using cluster::msg_kind_name;
-
-std::uint64_t parse_u64(std::string_view token, const char* what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    throw CodecError(std::string("malformed ") + what + ": '" +
-                     std::string(token) + "'");
-  }
-  return value;
-}
-
-std::int64_t parse_i64(std::string_view token, const char* what) {
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    throw CodecError(std::string("malformed ") + what + ": '" +
-                     std::string(token) + "'");
-  }
-  return value;
-}
-
-std::vector<std::string_view> tokens_of(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ') ++j;
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
 
 /// Locations travel by name; the default ("nowhere") location is spelled `-`
 /// because re-interning its display name would mint a fresh id.

@@ -1,6 +1,5 @@
 #include "rota/service/codec.hpp"
 
-#include <charconv>
 #include <sstream>
 
 #include "rota/io/scenario.hpp"
@@ -9,30 +8,8 @@ namespace rota::service {
 
 namespace {
 
-std::uint64_t parse_u64(std::string_view token, const char* what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    throw CodecError(std::string("malformed ") + what + ": '" +
-                     std::string(token) + "'");
-  }
-  return value;
-}
-
-/// Splits `line` into whitespace-separated tokens.
-std::vector<std::string_view> tokens_of(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ') ++j;
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
+using net::parse_u64;
+using net::tokens_of;
 
 std::string_view first_line(std::string_view payload, std::size_t& body_start) {
   const std::size_t nl = payload.find('\n');

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +18,14 @@ struct RelationCase {
   TimeInterval b;
   AllenRelation expected;
 };
+
+// Names each case after its content ("{0,2} before {4,6}"); without a
+// printer gtest dumps the struct's bytes, padding included, so the ctest
+// names would change from build to build.
+void PrintTo(const RelationCase& c, std::ostream* os) {
+  *os << '{' << c.a.start() << ',' << c.a.end() << "} " << allen_name(c.expected)
+      << " {" << c.b.start() << ',' << c.b.end() << '}';
+}
 
 class AllenRelationTest : public ::testing::TestWithParam<RelationCase> {};
 

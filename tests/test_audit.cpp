@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "rota/admission/controller.hpp"
+
 namespace rota {
 namespace {
 
@@ -24,22 +26,33 @@ class AuditTest : public ::testing::Test {
     auto gamma = ActorComputationBuilder(name + ".a", l1).evaluate(w).build();
     return DistributedComputation(name, {gamma}, s, d);
   }
+
+  RotaAdmissionController ctl{phi, supply()};
+  AuditLog audit;
+
+  /// Decides `lambda` and records the decision in the trail kept beside the
+  /// controller.
+  AdmissionDecision request(const DistributedComputation& lambda, Tick now) {
+    const ConcurrentRequirement rho = make_concurrent_requirement(phi, lambda);
+    AdmissionDecision decision = ctl.request(rho, now);
+    audit.record(now, rho, decision);
+    return decision;
+  }
 };
 
 TEST_F(AuditTest, RecordsDecisionsWithOutcomes) {
-  AuditedController ctl(phi, supply());
-  EXPECT_TRUE(ctl.request(job("ok", 0, 10), 0).accepted);
-  EXPECT_FALSE(ctl.request(job("too-big", 0, 4, 10), 0).accepted);
+  EXPECT_TRUE(request(job("ok", 0, 10), 0).accepted);
+  EXPECT_FALSE(request(job("too-big", 0, 4, 10), 0).accepted);
 
-  ASSERT_EQ(ctl.log().size(), 2u);
-  const AuditEntry& ok = ctl.log().entries()[0];
+  ASSERT_EQ(audit.size(), 2u);
+  const AuditEntry& ok = audit.entries()[0];
   EXPECT_EQ(ok.computation, "ok");
   EXPECT_TRUE(ok.accepted);
   EXPECT_EQ(ok.total_demand, 8);
   EXPECT_EQ(ok.planned_finish, 2);
   EXPECT_TRUE(ok.reason.empty());
 
-  const AuditEntry& no = ctl.log().entries()[1];
+  const AuditEntry& no = audit.entries()[1];
   EXPECT_FALSE(no.accepted);
   EXPECT_FALSE(no.reason.empty());
 }
@@ -61,11 +74,10 @@ TEST_F(AuditTest, AcceptanceCountsEverythingEverRecorded) {
 }
 
 TEST_F(AuditTest, RejectionReasonHistogram) {
-  AuditedController ctl(phi, supply());
-  ctl.request(job("late", 0, 5), 9);          // deadline passed
-  ctl.request(job("big", 0, 4, 10), 0);       // no plan
-  ctl.request(job("big2", 0, 4, 10), 0);      // no plan again
-  auto reasons = ctl.log().rejection_reasons();
+  request(job("late", 0, 5), 9);      // deadline passed
+  request(job("big", 0, 4, 10), 0);   // no plan
+  request(job("big2", 0, 4, 10), 0);  // no plan again
+  auto reasons = audit.rejection_reasons();
   ASSERT_EQ(reasons.size(), 2u);
   std::size_t total = 0;
   for (const auto& [reason, count] : reasons) total += count;
@@ -73,22 +85,20 @@ TEST_F(AuditTest, RejectionReasonHistogram) {
 }
 
 TEST_F(AuditTest, AcceptanceByWindowShowsDeadlinePressure) {
-  AuditedController ctl(phi, supply());
   // Tight windows (length 1) mostly fail; generous ones succeed.
-  for (int i = 0; i < 4; ++i) ctl.request(job("t" + std::to_string(i), 0, 1), 0);
+  for (int i = 0; i < 4; ++i) request(job("t" + std::to_string(i), 0, 1), 0);
   for (int i = 0; i < 4; ++i) {
-    ctl.request(job("g" + std::to_string(i), 0, 39), 0);
+    request(job("g" + std::to_string(i), 0, 39), 0);
   }
-  auto by_window = ctl.log().acceptance_by_window(10);
+  auto by_window = audit.acceptance_by_window(10);
   ASSERT_TRUE(by_window.contains(0));   // lengths 0-9
   ASSERT_TRUE(by_window.contains(3));   // lengths 30-39
   EXPECT_LT(by_window[0], by_window[3]);
 }
 
 TEST_F(AuditTest, MeanSlackFraction) {
-  AuditedController ctl(phi, supply());
-  ctl.request(job("j", 0, 10), 0);  // finishes at 2 of a 10-tick window
-  EXPECT_NEAR(ctl.log().mean_slack_fraction(), 0.8, 1e-9);
+  request(job("j", 0, 10), 0);  // finishes at 2 of a 10-tick window
+  EXPECT_NEAR(audit.mean_slack_fraction(), 0.8, 1e-9);
 }
 
 TEST_F(AuditTest, InvalidArgumentsThrow) {
@@ -98,9 +108,8 @@ TEST_F(AuditTest, InvalidArgumentsThrow) {
 }
 
 TEST_F(AuditTest, ToStringSummarizes) {
-  AuditedController ctl(phi, supply());
-  ctl.request(job("j", 0, 10), 0);
-  EXPECT_NE(ctl.log().to_string().find("1 decisions"), std::string::npos);
+  request(job("j", 0, 10), 0);
+  EXPECT_NE(audit.to_string().find("1 decisions"), std::string::npos);
 }
 
 TEST_F(AuditTest, EmptyLogDefaults) {
@@ -133,13 +142,12 @@ TEST_F(AuditTest, ReplayIntoReproducesLedgerRevisionAndResidual) {
 }
 
 TEST_F(AuditTest, ReplaySkipsEntriesWhosePlanNoLongerFits) {
-  AuditedController ctl(phi, supply());
-  ASSERT_TRUE(ctl.request(job("fits", 0, 10), 0).accepted);
+  ASSERT_TRUE(request(job("fits", 0, 10), 0).accepted);
 
   ResourceSet shrunken;  // half the original rate: the old plan cannot fit
   shrunken.add(2, TimeInterval(0, 40), cpu1);
   CommitmentLedger recovered(shrunken, 0);
-  EXPECT_EQ(ctl.log().replay_into(recovered), 0u);
+  EXPECT_EQ(audit.replay_into(recovered), 0u);
   EXPECT_EQ(recovered.revision(), 0u);
 }
 

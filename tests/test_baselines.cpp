@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace rota {
 namespace {
 
@@ -34,15 +36,16 @@ class BaselinesTest : public ::testing::Test {
 };
 
 TEST_F(BaselinesTest, Names) {
-  EXPECT_EQ(RotaStrategy(phi, supply()).name(), "rota-asap");
-  EXPECT_EQ(RotaStrategy(phi, supply(), PlanningPolicy::kAlap).name(), "rota-alap");
+  EXPECT_EQ(RotaAdmissionController(phi, supply()).name(), "rota-asap");
+  EXPECT_EQ(RotaAdmissionController(phi, supply(), PlanningPolicy::kAlap).name(),
+            "rota-alap");
   EXPECT_EQ(NaiveTotalQuantityStrategy(phi, supply()).name(), "naive-total");
   EXPECT_EQ(OptimisticStrategy(phi, supply()).name(), "optimistic");
   EXPECT_EQ(AlwaysAdmitStrategy().name(), "always-admit");
 }
 
 TEST_F(BaselinesTest, AllAdmitAnEasyJob) {
-  RotaStrategy rota(phi, supply());
+  RotaAdmissionController rota(phi, supply());
   NaiveTotalQuantityStrategy naive(phi, supply());
   OptimisticStrategy optimistic(phi, supply());
   AlwaysAdmitStrategy always;
@@ -82,7 +85,7 @@ TEST_F(BaselinesTest, NaiveOverAdmitsOnTemporalOrder) {
   misordered.add(4, TimeInterval(0, 4), net12);   // early network
   auto trap = chain_job("trap", 0, 10);
 
-  RotaStrategy rota(phi, misordered);
+  RotaAdmissionController rota(phi, misordered);
   EXPECT_FALSE(rota.request(trap, 0).accepted);
 
   NaiveTotalQuantityStrategy naive(phi, misordered);
@@ -103,7 +106,7 @@ TEST_F(BaselinesTest, OptimisticIgnoresOtherCommitments) {
   }
   EXPECT_EQ(accepted, 10);
 
-  RotaStrategy rota(phi, supply());
+  RotaAdmissionController rota(phi, supply());
   accepted = 0;
   for (int i = 0; i < 10; ++i) {
     if (rota.request(job("j" + std::to_string(i), 0, 10), 0).accepted) ++accepted;
@@ -142,7 +145,7 @@ TEST_F(BaselinesTest, StrategiesRejectExpiredDeadlines) {
 
 TEST_F(BaselinesTest, PolymorphicUseThroughInterface) {
   std::vector<std::unique_ptr<AdmissionStrategy>> strategies;
-  strategies.push_back(std::make_unique<RotaStrategy>(phi, supply()));
+  strategies.push_back(std::make_unique<RotaAdmissionController>(phi, supply()));
   strategies.push_back(std::make_unique<NaiveTotalQuantityStrategy>(phi, supply()));
   strategies.push_back(std::make_unique<OptimisticStrategy>(phi, supply()));
   strategies.push_back(std::make_unique<AlwaysAdmitStrategy>());

@@ -160,7 +160,7 @@ TEST(Integration, BaselineOverAdmissionCausesMissesRotaDoesNot) {
     return sim.run(horizon);
   };
 
-  RotaStrategy rota(gen.phi(), supply);
+  RotaAdmissionController rota(gen.phi(), supply);
   SimReport rota_report = run_strategy(rota, ExecutionMode::kPlanFollowing);
   EXPECT_EQ(rota_report.missed(), 0u);
 

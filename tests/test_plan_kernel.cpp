@@ -1,7 +1,7 @@
 // Cross-surface parity for the unified planning kernel (rota/plan/).
 //
 // Every admission surface — the sequential controller, the batched pipeline
-// at any lane count, the RotaStrategy harness, and the cluster claim path —
+// at any lane count, and the cluster claim path —
 // is a different composition of the same two kernel halves (speculate,
 // commit). These tests pin the consequence: on one shared seeded workload,
 // every surface produces the *bit-identical* decision sequence (accept set,
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "rota/admission/audit.hpp"
-#include "rota/admission/baselines.hpp"
+#include "rota/admission/controller.hpp"
 #include "rota/admission/negotiation.hpp"
 #include "rota/cluster/node.hpp"
 #include "rota/computation/requirement.hpp"
@@ -94,26 +94,6 @@ TEST(PlanKernelParity, BatchMatchesSequentialAtEveryLaneCount) {
   }
 }
 
-TEST(PlanKernelParity, RotaStrategyMatchesSequentialController) {
-  CostModel phi;
-  WorkloadGenerator gen(parity_config(), phi);
-  const auto arrivals = gen.make_arrivals(kHorizon);
-  ASSERT_GT(arrivals.size(), 40u);
-  const ResourceSet supply = gen.base_supply(TimeInterval(0, kHorizon));
-
-  RotaAdmissionController controller(phi, supply);
-  RotaStrategy strategy(phi, supply);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const AdmissionDecision expected =
-        controller.request(arrivals[i].computation, arrivals[i].at);
-    const AdmissionDecision got =
-        strategy.request(arrivals[i].computation, arrivals[i].at);
-    expect_same_decision(expected, got, i);
-  }
-  EXPECT_EQ(strategy.controller().ledger().residual(),
-            controller.ledger().residual());
-}
-
 TEST(PlanKernelParity, ClusterClaimMatchesLocalAdmit) {
   CostModel phi;
   WorkloadConfig config = parity_config();
@@ -175,7 +155,8 @@ TEST(PlanKernelStaleness, CommitThroughAnotherSurfaceInvalidatesSpeculation) {
   CostModel phi;
   ResourceSet supply;
   supply.add(10, TimeInterval(0, 100), LocatedType::cpu(site));
-  RotaAdmissionController controller(phi, supply);
+  CommitmentLedger ledger(supply, 0);
+  const PlanningKernel kernel;
 
   const ConcurrentRequirement rho_a =
       make_concurrent_requirement(phi, simple_job("a", site, 1, 60));
@@ -183,31 +164,31 @@ TEST(PlanKernelStaleness, CommitThroughAnotherSurfaceInvalidatesSpeculation) {
       make_concurrent_requirement(phi, simple_job("b", site, 1, 60));
 
   // Speculate `a` against a snapshot...
-  const PlanResult spec_a = controller.kernel().speculate(
-      rho_a, 0, FeasibilitySnapshot::capture(controller.ledger()));
+  const PlanResult spec_a =
+      kernel.speculate(rho_a, 0, FeasibilitySnapshot::capture(ledger));
   ASSERT_TRUE(spec_a.feasible());
 
   // ...then commit `b` through the sequential surface, moving the revision.
-  const AdmissionDecision b = controller.request(rho_b, 0);
+  const AdmissionDecision b = kernel.decide(ledger, rho_b, 0);
   ASSERT_TRUE(b.accepted);
-  const std::uint64_t revision_after_b = controller.ledger().revision();
-  const ResourceSet residual_after_b = controller.ledger().residual();
+  const std::uint64_t revision_after_b = ledger.revision();
+  const ResourceSet residual_after_b = ledger.residual();
 
   // The stale speculation is refused and the ledger is untouched by the
   // attempt — nothing admitted, no clock or revision movement.
-  EXPECT_EQ(controller.commit(spec_a), std::nullopt);
-  EXPECT_EQ(controller.ledger().revision(), revision_after_b);
-  EXPECT_EQ(controller.ledger().residual(), residual_after_b);
-  EXPECT_EQ(controller.ledger().admitted_count(), 1u);
+  AdmissionDecision out;
+  EXPECT_EQ(kernel.commit(spec_a, ledger, out), CommitStatus::kStale);
+  EXPECT_EQ(ledger.revision(), revision_after_b);
+  EXPECT_EQ(ledger.residual(), residual_after_b);
+  EXPECT_EQ(ledger.admitted_count(), 1u);
 
   // Redoing the speculation against a fresh snapshot commits cleanly.
-  const PlanResult redo = controller.kernel().speculate(
-      rho_a, 0, FeasibilitySnapshot::capture(controller.ledger()));
+  const PlanResult redo =
+      kernel.speculate(rho_a, 0, FeasibilitySnapshot::capture(ledger));
   ASSERT_TRUE(redo.feasible());
-  const auto decision = controller.commit(redo);
-  ASSERT_TRUE(decision.has_value());
-  EXPECT_TRUE(decision->accepted);
-  EXPECT_EQ(controller.ledger().admitted_count(), 2u);
+  ASSERT_EQ(kernel.commit(redo, ledger, out), CommitStatus::kCommitted);
+  EXPECT_TRUE(out.accepted);
+  EXPECT_EQ(ledger.admitted_count(), 2u);
 }
 
 TEST(PlanKernelStaleness, DetachedSnapshotsNeverCommit) {
@@ -215,19 +196,21 @@ TEST(PlanKernelStaleness, DetachedSnapshotsNeverCommit) {
   CostModel phi;
   ResourceSet supply;
   supply.add(10, TimeInterval(0, 100), LocatedType::cpu(site));
-  RotaAdmissionController controller(phi, supply);
+  CommitmentLedger ledger(supply, 0);
+  const PlanningKernel kernel;
   const ConcurrentRequirement rho =
       make_concurrent_requirement(phi, simple_job("w", site, 1, 60));
 
   // over() / minus() snapshots are speculation-only: their revision stamp
   // can never match a live ledger, so the commit gate refuses them even when
   // the availability they planned against happens to be identical.
-  const PlanResult what_if = controller.kernel().speculate(
-      rho, 0, FeasibilitySnapshot::over(controller.ledger().residual()));
+  const PlanResult what_if =
+      kernel.speculate(rho, 0, FeasibilitySnapshot::over(ledger.residual()));
   ASSERT_TRUE(what_if.feasible());
   EXPECT_EQ(what_if.revision, FeasibilitySnapshot::kDetachedRevision);
-  EXPECT_EQ(controller.commit(what_if), std::nullopt);
-  EXPECT_EQ(controller.ledger().admitted_count(), 0u);
+  AdmissionDecision out;
+  EXPECT_EQ(kernel.commit(what_if, ledger, out), CommitStatus::kStale);
+  EXPECT_EQ(ledger.admitted_count(), 0u);
 }
 
 TEST(PlanKernelStaleness, WindowBehindAMovedLapsePointIsStale) {
@@ -289,7 +272,8 @@ TEST(PlanKernelStaleness, StalenessRedoAndAuditReplayConverge) {
   CostModel phi;
   ResourceSet supply;
   supply.add(6, TimeInterval(0, 120), LocatedType::cpu(site));
-  RotaAdmissionController controller(phi, supply);
+  CommitmentLedger ledger(supply, 0);
+  const PlanningKernel kernel;
   AuditLog audit(64);
 
   const ConcurrentRequirement rho_a =
@@ -297,33 +281,33 @@ TEST(PlanKernelStaleness, StalenessRedoAndAuditReplayConverge) {
   const ConcurrentRequirement rho_b =
       make_concurrent_requirement(phi, simple_job("b", site, 2, 80));
 
-  const FeasibilitySnapshot snapshot =
-      FeasibilitySnapshot::capture(controller.ledger());
-  const PlanResult spec_a = controller.kernel().speculate(rho_a, 0, snapshot);
-  const PlanResult spec_b = controller.kernel().speculate(rho_b, 0, snapshot);
+  const FeasibilitySnapshot snapshot = FeasibilitySnapshot::capture(ledger);
+  const PlanResult spec_a = kernel.speculate(rho_a, 0, snapshot);
+  const PlanResult spec_b = kernel.speculate(rho_b, 0, snapshot);
   ASSERT_TRUE(spec_a.feasible());
   ASSERT_TRUE(spec_b.feasible());
 
-  const auto decision_a = controller.commit(spec_a);
-  ASSERT_TRUE(decision_a && decision_a->accepted);
-  audit.record(0, rho_a, *decision_a);
+  AdmissionDecision decision_a;
+  ASSERT_EQ(kernel.commit(spec_a, ledger, decision_a), CommitStatus::kCommitted);
+  ASSERT_TRUE(decision_a.accepted);
+  audit.record(0, rho_a, decision_a);
 
   // `b` went stale the moment `a` landed; it is redone, never committed as-is.
-  ASSERT_EQ(controller.commit(spec_b), std::nullopt);
-  const PlanResult redo_b = controller.kernel().speculate(
-      rho_b, 0, FeasibilitySnapshot::capture(controller.ledger()));
-  const auto decision_b = controller.commit(redo_b);
-  ASSERT_TRUE(decision_b.has_value());
-  audit.record(0, rho_b, *decision_b);
+  AdmissionDecision decision_b;
+  ASSERT_EQ(kernel.commit(spec_b, ledger, decision_b), CommitStatus::kStale);
+  const PlanResult redo_b =
+      kernel.speculate(rho_b, 0, FeasibilitySnapshot::capture(ledger));
+  ASSERT_EQ(kernel.commit(redo_b, ledger, decision_b), CommitStatus::kCommitted);
+  audit.record(0, rho_b, decision_b);
 
   // Rebuild from the WAL through the same commit gate (PlanningKernel::replay).
   CommitmentLedger recovered(supply);
   const std::size_t replayed = audit.replay_into(recovered);
-  std::size_t accepted = (decision_a->accepted ? 1u : 0u) +
-                         (decision_b->accepted ? 1u : 0u);
+  std::size_t accepted = (decision_a.accepted ? 1u : 0u) +
+                         (decision_b.accepted ? 1u : 0u);
   EXPECT_EQ(replayed, accepted);
-  EXPECT_EQ(recovered.residual(), controller.ledger().residual());
-  EXPECT_EQ(recovered.admitted_count(), controller.ledger().admitted_count());
+  EXPECT_EQ(recovered.residual(), ledger.residual());
+  EXPECT_EQ(recovered.admitted_count(), ledger.admitted_count());
 }
 
 // ---------------------------------------------------------------------------

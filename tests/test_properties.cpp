@@ -1,16 +1,16 @@
 // Randomized property tests tying the layers together:
 //   P1  planner soundness — any plan replayed through the transition rules
 //       drains the requirement by its deadline;
-//   P2  admission soundness — everything a RotaStrategy admits meets its
-//       deadline when the admitted set executes plan-following on the real
-//       supply, at any load;
+//   P2  admission soundness — everything a RotaAdmissionController admits
+//       meets its deadline when the admitted set executes plan-following on
+//       the real supply, at any load;
 //   P3  union/relative-complement inverse on resource sets;
 //   P4  T2 (greedy cut points) agrees with the transition-rule schedule
 //       search for single actors (completeness at this scale);
 //   P5  admitted-set usage always fits raw supply (no over-booking, ever).
 #include <gtest/gtest.h>
 
-#include "rota/admission/baselines.hpp"
+#include "rota/admission/controller.hpp"
 #include "rota/logic/theorems.hpp"
 #include "rota/sim/simulator.hpp"
 #include "rota/util/rng.hpp"
@@ -61,7 +61,7 @@ TEST_P(PropertyTest, P2_AdmittedAlwaysMeetsDeadline) {
   WorkloadGenerator gen(property_config(GetParam()), CostModel());
   const Tick horizon = 300;
   const ResourceSet supply = gen.base_supply(TimeInterval(0, horizon));
-  RotaStrategy rota(gen.phi(), supply);
+  RotaAdmissionController rota(gen.phi(), supply);
 
   Simulator sim(supply, 0, ExecutionMode::kPlanFollowing);
   std::size_t admitted = 0;

@@ -5,7 +5,7 @@
 // under a second each in release builds.
 #include <gtest/gtest.h>
 
-#include "rota/admission/baselines.hpp"
+#include "rota/admission/controller.hpp"
 #include "rota/logic/model_checker.hpp"
 #include "rota/sim/simulator.hpp"
 #include "rota/workload/generator.hpp"
@@ -24,7 +24,8 @@ TEST(Stress, ThousandAdmissionRequests) {
   const Tick horizon = 4000;
 
   WorkloadGenerator gen(config, CostModel());
-  RotaStrategy rota(gen.phi(), gen.base_supply(TimeInterval(0, horizon)));
+  RotaAdmissionController rota(gen.phi(),
+                               gen.base_supply(TimeInterval(0, horizon)));
 
   auto arrivals = gen.make_arrivals(horizon * 3 / 4);
   ASSERT_GT(arrivals.size(), 700u);

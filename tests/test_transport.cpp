@@ -2,13 +2,14 @@
 // semantics, and SocketTransport over real unix sockets (handshake, auth
 // refusal, message flow, backlog-until-reachable, clean close) and its
 // session lifecycle under peer churn (reaping, descriptor exhaustion, a
-// silent connection).
+// silent connection, a peer that never answers the hello).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -439,6 +440,46 @@ TEST(SocketTransport, SilentConnectionDoesNotStallOtherPeers) {
   ::close(silent);
   peer.close();
   listener.close();
+}
+
+// Each peer's outbound side has its own lock: a peer that accepts
+// connections but never answers the hello holds up only the sends to itself.
+TEST(SocketTransport, MutePeerDoesNotStallOtherPeers) {
+  const std::string mute_path = temp_socket_path("mute");
+  std::uint16_t unused_port = 0;
+  const int mute = listen_on(Endpoint{mute_path, 0}, unused_port);  // never accepts
+
+  SocketTransportConfig lc;
+  lc.local = 2;
+  lc.listen = "unix:" + temp_socket_path("live");
+  SocketTransport live(lc);
+
+  SocketTransportConfig c;
+  c.local = 0;
+  c.peers[1] = "unix:" + mute_path;
+  c.peers[2] = lc.listen;
+  c.connect_timeout_ms = 1000;
+  SocketTransport sender(c);
+
+  std::thread dialing_mute([&] { sender.send(probe_message()); });  // 0 -> 1
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // awaiting the hello
+
+  Message m = probe_message();
+  m.to = 2;
+  const auto start = std::chrono::steady_clock::now();
+  sender.send(m);
+  std::vector<Message> got;
+  while (got.empty() && std::chrono::steady_clock::now() - start <
+                            std::chrono::milliseconds(300)) {
+    got = live.receive();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(got.size(), 1u) << "a mute peer's dial stalled a send to another peer";
+  dialing_mute.join();
+  ::close(mute);
+  ::unlink(mute_path.c_str());
+  sender.close();
+  live.close();
 }
 
 }  // namespace
